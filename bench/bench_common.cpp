@@ -12,7 +12,8 @@
 #include "generators/lfr.hpp"
 #include "generators/planted_partition.hpp"
 #include "generators/rmat.hpp"
-#include "io/binary_io.hpp"
+#include "graph/csr_graph.hpp"
+#include "io/binary_csr.hpp"
 #include "quality/modularity.hpp"
 #include "support/logging.hpp"
 #include "support/random.hpp"
@@ -127,25 +128,31 @@ std::string dataDirectory() {
     return dir;
 }
 
-Graph loadReplica(const ReplicaSpec& spec) {
-    const std::string cachePath =
-        dataDirectory() + "/" + spec.name + (quickMode() ? ".quick" : "") +
-        ".grpr";
+Graph cachedGraph(const std::string& cachePath,
+                  const std::function<Graph()>& make) {
     if (std::filesystem::exists(cachePath)) {
         try {
-            return io::readBinary(cachePath);
+            return io::readBinaryCsr(cachePath).graph.toGraph();
         } catch (const std::exception& e) {
             // A truncated or stale cache (killed run, format change) must
             // not wedge the whole benchmark suite: regenerate instead.
-            logWarn("loadReplica: corrupt cache ", cachePath, " (", e.what(),
+            logWarn("cachedGraph: corrupt cache ", cachePath, " (", e.what(),
                     "), regenerating");
             std::filesystem::remove(cachePath);
         }
     }
-    Random::setSeed(nameSeed(spec.name));
-    Graph g = spec.make();
-    io::writeBinary(g, cachePath);
+    Graph g = make();
+    io::writeBinaryCsr(CsrGraph(g), 0, cachePath);
     return g;
+}
+
+Graph loadReplica(const ReplicaSpec& spec) {
+    return cachedGraph(dataDirectory() + "/" + spec.name +
+                           (quickMode() ? ".quick" : "") + ".gcsr",
+                       [&] {
+                           Random::setSeed(nameSeed(spec.name));
+                           return spec.make();
+                       });
 }
 
 RunResult measureDetector(CommunityDetector& detector, const Graph& g,

@@ -29,7 +29,12 @@ struct ReplicaSpec {
 /// its per-network charts by graph size).
 std::vector<ReplicaSpec> replicaSuite();
 
-/// Generate-or-load a replica: cached as data/<name>.grpr next to the
+/// Load `cachePath` (a GCSR file, io/binary_csr.hpp) or, when it is
+/// missing or corrupt, build the graph with `make` and cache it there.
+Graph cachedGraph(const std::string& cachePath,
+                  const std::function<Graph()>& make);
+
+/// Generate-or-load a replica: cached as data/<name>.gcsr next to the
 /// build tree. Deterministic: generation always reseeds from the name.
 Graph loadReplica(const ReplicaSpec& spec);
 

@@ -12,11 +12,9 @@
 #include "community/plm.hpp"
 #include "community/plp.hpp"
 #include "generators/rmat.hpp"
-#include "io/binary_io.hpp"
 #include "support/parallel.hpp"
 #include "support/random.hpp"
 
-#include <filesystem>
 
 using namespace grapr;
 using namespace grapr::bench;
@@ -37,18 +35,12 @@ int main() {
     for (int step = 0; step < steps; ++step, threads *= 2) {
         const count scale = baseScale + static_cast<count>(step);
         const std::string cachePath = dataDirectory() + "/weak_s" +
-                                      std::to_string(scale) + ".grpr";
-        Graph g = [&] {
-            if (std::filesystem::exists(cachePath)) {
-                return io::readBinary(cachePath);
-            }
+                                      std::to_string(scale) + ".gcsr";
+        Graph g = cachedGraph(cachePath, [&] {
             Random::setSeed(100 + scale);
-            Graph fresh =
-                RmatGenerator(scale, edgeFactor, 0.57, 0.19, 0.19, 0.05)
-                    .generate();
-            io::writeBinary(fresh, cachePath);
-            return fresh;
-        }();
+            return RmatGenerator(scale, edgeFactor, 0.57, 0.19, 0.19, 0.05)
+                .generate();
+        });
 
         Parallel::setThreads(threads);
         Random::setSeed(10);

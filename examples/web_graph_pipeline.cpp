@@ -30,8 +30,8 @@ int main(int argc, char** argv) {
 
     std::printf("\n=== persist + reload (binary snapshot) ===\n");
     Timer ioTimer;
-    io::writeBinary(g, "webgraph.grpr");
-    Graph reloaded = io::readBinary("webgraph.grpr");
+    io::writeBinaryCsr(CsrGraph(g), 0, "webgraph.gcsr");
+    Graph reloaded = io::readBinaryCsr("webgraph.gcsr").graph.toGraph();
     std::printf("round trip in %s (structural check: %s)\n",
                 formatDuration(ioTimer.elapsed()).c_str(),
                 reloaded.numberOfEdges() == g.numberOfEdges() ? "ok"
@@ -63,6 +63,6 @@ int main(int argc, char** argv) {
 
     std::printf("\n=== agreement between the two solutions ===\n");
     std::printf("Jaccard index PLP vs PLM: %.3f\n", jaccardIndex(fast, good));
-    std::remove("webgraph.grpr");
+    std::remove("webgraph.gcsr");
     return 0;
 }

@@ -27,28 +27,31 @@ Partition MatchingAgglomeration::run(const Graph& g) {
 
         // Phase 1: every node points to the neighbor whose contraction
         // yields the highest positive modularity gain; ties are broken
-        // uniformly at random (reservoir choice) — deterministic ties
-        // starve the matching on regular structures like street meshes,
-        // where every node would point at its smallest-id neighbor.
+        // uniformly at random — deterministic ties starve the matching on
+        // regular structures like street meshes, where every node would
+        // point at its smallest-id neighbor. Each tied neighbor v gets a
+        // key hashed from v and a salt drawn from the stream of (round, u);
+        // the smallest key wins. Neither the scoring thread nor the
+        // neighbor order (which the parallel coarsening does not fix)
+        // enters, so the matching is the same for every thread count.
         std::vector<node> candidate(bound, none);
         current.balancedParallelForNodes([&](node u) {
+            const std::uint64_t salt = Random::forStream((round << 32) | u)();
             node best = none;
             double bestGain = 0.0;
-            count ties = 0;
+            std::uint64_t bestKey = 0;
             current.forNeighborsOf(u, [&](node v, edgeweight w) {
                 if (v == u) return;
                 const double gain =
                     w / omegaE -
                     gamma_ * (volume[u] * volume[v]) /
                         (2.0 * omegaE * omegaE);
-                if (gain <= 0.0) return;
-                if (gain > bestGain) {
+                if (gain <= 0.0 || gain < bestGain) return;
+                const std::uint64_t key = SplitMix64(salt ^ v)();
+                if (gain > bestGain || key < bestKey) {
                     bestGain = gain;
                     best = v;
-                    ties = 1;
-                } else if (gain == bestGain) {
-                    ++ties;
-                    if (Random::integer(ties) == 0) best = v;
+                    bestKey = key;
                 }
             });
             candidate[u] = best;

@@ -1,6 +1,6 @@
 #pragma once
 // ParseOptions — the one knob struct shared by the parallel text parsers
-// (parallel_edgelist.hpp, parallel_metis.hpp) and the legacy-compatible
+// (parallel_edgelist.hpp, parallel_metis.hpp) and the Graph-returning
 // wrappers readEdgeList/readMetis that route through them.
 
 #include "support/common.hpp"

@@ -1,13 +1,14 @@
-// Lint fixture: backslash-continued and comment-spanned pragmas. The
-// `grapr_lint_continued` ctest invokes the linter on this file and
-// expects a NONZERO exit (WILL_FAIL). This file is never compiled.
+// Fixture: backslash-continued and comment-spanned pragmas. A line that
+// ends in a backslash cannot carry a trailing // comment, so the
+// grapr:expect markers of this file sit in /* */ comments before the
+// backslash. This file is never compiled.
 //
 // Seeded violations, in order:
 //   1. omp-default-none   the pragma is split as `#pragma \` + `omp ...`;
 //                         classifying on the first physical line alone
 //                         sees no `omp` token and the region escapes
 //                         every rule (the historical false negative).
-//   2. no-default-shared  `default(shared)` hidden on a continuation
+//   2. omp-default-none   `default(shared)` hidden on a continuation
 //                         line two splices deep.
 //
 // The remaining regions are LEGAL and must stay silent: clauses that
@@ -18,7 +19,7 @@
 
 void fixtureSplitDirective(std::vector<int>& data) {
     // (1) joined text is `#pragma omp parallel for` with no default(none)
-#pragma \
+#pragma /* grapr:expect(omp-default-none) */ \
     omp parallel for
     for (int i = 0; i < 100; ++i) {
         data[i] = i;
@@ -27,7 +28,7 @@ void fixtureSplitDirective(std::vector<int>& data) {
 
 void fixtureDeepContinuation(std::vector<int>& data) {
     // (2) the banned clause only appears after joining both splices
-#pragma omp parallel for \
+#pragma omp parallel for /* grapr:expect(omp-default-none) */ \
     schedule(static)     \
     default(shared)
     for (int i = 0; i < 100; ++i) {

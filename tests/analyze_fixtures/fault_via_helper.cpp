@@ -1,7 +1,7 @@
-// Seeded violation for the one-level-helper extension of
-// fault-point-in-parallel: the site is NOT lexically inside the region's
-// extent — it hides one call level down, in a helper defined in this
-// file. grapr_lint must still flag the call (ctest pins WILL_FAIL).
+// Seeded violation for fault-point-in-parallel through a helper: the site
+// is NOT lexically inside the region's extent — it hides one call level
+// down, in a helper defined in this file. The analyzer flags the call and,
+// because the same-file helper runs inside the team, the site itself.
 //
 // Never compiled; parsed only.
 #define GRAPR_FAULT_POINT(site) ((void)0)
@@ -9,7 +9,7 @@
 
 // The helper the region calls: its body registers a fault site.
 void logDurable(int value) {
-    GRAPR_FAULT_POINT("fixture.helper.write");
+    GRAPR_FAULT_POINT("fixture.helper.write"); // grapr:expect(fault-point-in-parallel)
     (void)value;
 }
 
@@ -23,6 +23,6 @@ void churnInParallel(int* data, int n) {
 #pragma omp parallel for default(none) shared(data) firstprivate(n)
     for (int i = 0; i < n; ++i) {
         accumulate(data[i]);
-        logDurable(data[i]);
+        logDurable(data[i]); // grapr:expect(fault-point-in-parallel)
     }
 }

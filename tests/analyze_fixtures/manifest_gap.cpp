@@ -7,8 +7,9 @@
 //   direction 2: the manifest lists `analyze_fixtures/
 //                manifest_gap.cpp:ghost`, which matches no annotation.
 //
-// Both must be reported (WILL_FAIL). The ctest entry passes
-// --tsan-supp '' so only the manifest directions are under test.
+// Both must be reported, at the grapr:expect markers here and in the
+// manifest. The ctest entry passes --tsan-supp '' so only the manifest
+// directions are under test.
 //
 // This file is analyzed, never compiled.
 
@@ -25,7 +26,7 @@ void manifestGap(node* labels, const node* neighbors,
             const node v = neighbors[e];
             best += labels[v];
         }
-        // grapr:benign-race(labels): asynchronous label publish; racy by
+        // grapr:benign-race(labels): asynchronous label publish; racy by grapr:expect(benign-race-manifest)
         // design and validated by parallel-effects — but missing from
         // manifest_gap.txt.
         labels[u] = best;

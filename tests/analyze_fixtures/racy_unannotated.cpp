@@ -1,8 +1,7 @@
 // Seeded shared-write-safety violations for grapr_analyze's
 // parallel-effects pass. Every numbered site is a racy write with NO
-// grapr:benign-race annotation; the ctest entry runs the analyzer on this
-// file with WILL_FAIL, so an analyzer that stops seeing these has lost
-// the check. The legal twins below each site pin the lattice's safe
+// grapr:benign-race annotation and a grapr:expect marker, so an analyzer
+// that stops seeing these has lost the check. The legal twins below each site pin the lattice's safe
 // classes so a regression toward "flag everything" also fails the
 // dual-frontend agreement test.
 //
@@ -26,10 +25,10 @@ void racyWrites(double* weights, node* labels, node* neighbors,
             const node v = neighbors[e];
             // (1) VIOLATION: neighbor-indexed write, no annotation —
             // several threads share v values.
-            labels[v] = u;
+            labels[v] = u; // grapr:expect(shared-write-safety)
         }
         // (2) VIOLATION: read-modify-write of a shared scalar-indexed
         // slot at a foreign (constant) index.
-        weights[0] += 1.0;
+        weights[0] += 1.0; // grapr:expect(shared-write-safety)
     }
 }

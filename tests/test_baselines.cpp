@@ -10,11 +10,13 @@
 #include "baselines/registry.hpp"
 #include "baselines/rg.hpp"
 #include "community/plm.hpp"
+#include "generators/grid.hpp"
 #include "generators/lfr.hpp"
 #include "generators/planted_partition.hpp"
 #include "generators/simple_graphs.hpp"
 #include "quality/modularity.hpp"
 #include "quality/partition_similarity.hpp"
+#include "support/parallel.hpp"
 #include "support/random.hpp"
 
 using namespace grapr;
@@ -139,6 +141,30 @@ TEST(MatchingAgglomeration, CelRecoversCliqueChain) {
     const Partition zeta =
         MatchingAgglomeration(/*starAdaptation=*/false).run(g);
     EXPECT_EQ(zeta.numberOfSubsets(), 8u);
+}
+
+TEST(MatchingAgglomeration, CelIsIndependentOfThreadCount) {
+    // CEL breaks gain ties at random. The draws are keyed on (round, node),
+    // not on the thread that scores the node, so the matching, and with it
+    // the partition, is the same for every thread count and schedule.
+    const int restoreThreads = Parallel::maxThreads();
+    Random::setSeed(123);
+    const Graph grid = GridGenerator(40, 40).generate();
+    for (const Graph& g : {SimpleGraphs::cliqueChain(8, 8), grid}) {
+        std::vector<Partition> runs;
+        for (const int threads : {1, 4, 4}) {
+            Parallel::setThreads(threads);
+            Random::setSeed(121);
+            runs.push_back(MatchingAgglomeration(false).run(g));
+        }
+        for (std::size_t r = 1; r < runs.size(); ++r) {
+            for (node v = 0; v < g.upperNodeIdBound(); ++v) {
+                ASSERT_EQ(runs[r][v], runs[0][v]) << "run " << r << " node "
+                                                  << v;
+            }
+        }
+    }
+    Parallel::setThreads(restoreThreads);
 }
 
 TEST(MatchingAgglomeration, StarAdaptationHelpsOnStars) {

@@ -1,4 +1,4 @@
-// I/O round-trip tests: edge list, METIS, binary, partition, DOT.
+// I/O round-trip tests: edge list, METIS, binary CSR, partition, DOT.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,8 @@
 
 #include "generators/erdos_renyi.hpp"
 #include "generators/simple_graphs.hpp"
-#include "io/binary_io.hpp"
+#include "graph/csr_graph.hpp"
+#include "io/binary_csr.hpp"
 #include "io/dot_writer.hpp"
 #include "io/edgelist_io.hpp"
 #include "io/io_error.hpp"
@@ -40,6 +41,16 @@ protected:
     std::filesystem::path dir_;
 };
 
+// The binary graph format is GCSR (io/binary_csr.hpp): a Graph goes out
+// frozen and comes back thawed.
+void writeGcsr(const Graph& g, const std::string& file) {
+    io::writeBinaryCsr(CsrGraph(g), 0, file);
+}
+
+Graph readGcsr(const std::string& file) {
+    return io::readBinaryCsr(file).graph.toGraph();
+}
+
 } // namespace
 
 TEST_F(IoTest, EdgeListRoundTrip) {
@@ -56,7 +67,7 @@ TEST_F(IoTest, EdgeListWeightedRoundTrip) {
     g.addEdge(0, 1, 2.5);
     g.addEdge(1, 2, 0.25);
     io::writeEdgeList(g, path("w.tsv"), /*withWeights=*/true);
-    io::EdgeListOptions options;
+    io::ParseOptions options;
     options.weighted = true;
     Graph loaded = io::readEdgeList(path("w.tsv"), options);
     EXPECT_TRUE(loaded.structurallyEquals(g));
@@ -80,7 +91,7 @@ TEST_F(IoTest, EdgeListDirectedInputDedups) {
         std::ofstream out(path("dir.tsv"));
         out << "0 1\n1 0\n1 2\n";
     }
-    io::EdgeListOptions options;
+    io::ParseOptions options;
     options.directedInput = true;
     Graph g = io::readEdgeList(path("dir.tsv"), options);
     EXPECT_EQ(g.numberOfEdges(), 2u);
@@ -146,8 +157,8 @@ TEST_F(IoTest, MetisIsolatedNodes) {
 TEST_F(IoTest, BinaryRoundTripUnweighted) {
     Random::setSeed(22);
     Graph g = ErdosRenyiGenerator(500, 0.02).generate();
-    io::writeBinary(g, path("g.grpr"));
-    Graph loaded = io::readBinary(path("g.grpr"));
+    writeGcsr(g, path("g.gcsr"));
+    Graph loaded = readGcsr(path("g.gcsr"));
     EXPECT_TRUE(loaded.structurallyEquals(g));
     loaded.checkConsistency();
 }
@@ -157,18 +168,18 @@ TEST_F(IoTest, BinaryRoundTripWeightedWithLoops) {
     g.addEdge(0, 1, 0.5);
     g.addEdge(2, 2, 7.0);
     g.addEdge(3, 4, 1.25);
-    io::writeBinary(g, path("w.grpr"));
-    Graph loaded = io::readBinary(path("w.grpr"));
+    writeGcsr(g, path("w.gcsr"));
+    Graph loaded = readGcsr(path("w.gcsr"));
     EXPECT_TRUE(loaded.structurallyEquals(g));
     EXPECT_EQ(loaded.numberOfSelfLoops(), 1u);
 }
 
 TEST_F(IoTest, BinaryRejectsGarbage) {
     {
-        std::ofstream out(path("garbage.grpr"), std::ios::binary);
+        std::ofstream out(path("garbage.gcsr"), std::ios::binary);
         out << "not a grapr file at all";
     }
-    EXPECT_THROW(io::readBinary(path("garbage.grpr")), std::runtime_error);
+    EXPECT_THROW(readGcsr(path("garbage.gcsr")), std::runtime_error);
 }
 
 TEST_F(IoTest, PartitionRoundTrip) {
@@ -231,8 +242,8 @@ TEST_F(IoTest, EdgeListHeaderPreservesIsolatedNodes) {
 
 TEST_F(IoTest, BinarySurvivesEmptyGraph) {
     Graph g(7, false);
-    io::writeBinary(g, path("empty.grpr"));
-    Graph loaded = io::readBinary(path("empty.grpr"));
+    writeGcsr(g, path("empty.gcsr"));
+    Graph loaded = readGcsr(path("empty.gcsr"));
     EXPECT_EQ(loaded.numberOfNodes(), 7u);
     EXPECT_EQ(loaded.numberOfEdges(), 0u);
 }
@@ -269,7 +280,7 @@ TEST_F(IoTest, EdgeListWeightedRoundTripPreservesNonIntegerWeights) {
     g.addEdge(4, 0, 1e-12);
     io::writeEdgeList(g, path("wrt.tsv"), /*withWeights=*/true);
 
-    io::EdgeListOptions options;
+    io::ParseOptions options;
     options.weighted = true;
     Graph loaded = io::readEdgeList(path("wrt.tsv"), options);
     ASSERT_EQ(loaded.numberOfEdges(), g.numberOfEdges());

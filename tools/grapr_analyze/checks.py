@@ -9,9 +9,9 @@ Check ids (stable; used in messages and `grapr:analyze-allow(<id>)`):
                        Graph method ran on its source
   index-width          implicit narrowing of count/index/node/edgeweight
                        to a 32-bit (or smaller / lossy) type
-  annotation-liveness  a grapr:benign-race / grapr:lint-allow /
-                       grapr:analyze-allow annotation no longer anchors a
-                       real site
+  annotation-liveness  a grapr:benign-race / grapr:analyze-allow
+                       annotation no longer anchors a real site, or gives
+                       no `: <reason>`
   suppression-liveness a tsan.supp entry names a symbol that no longer
                        exists or no longer reaches a parallel region
 
@@ -41,7 +41,6 @@ ANALYZE_ALLOW = re.compile(
     r"grapr:analyze-allow\((?P<check>[\w-]+)\)(?P<rest>[^\n]*)")
 ANNOTATION = re.compile(
     r"grapr:benign-race\((?P<var>[A-Za-z_]\w*)\)(?P<rest>[^\n]*)")
-LINT_ALLOW = re.compile(r"grapr:lint-allow\((?P<rule>[\w-]+)\)(?P<rest>[^\n]*)")
 
 CHECK_IDS = {"csr-staleness", "index-width", "annotation-liveness",
              "suppression-liveness",
@@ -50,7 +49,9 @@ CHECK_IDS = {"csr-staleness", "index-width", "annotation-liveness",
              "fault-site-coverage",
              # Parallel-effects checks (effects.py).
              "shared-write-safety", "benign-race-validity", "region-alloc",
-             "benign-race-manifest", "fault-point-in-parallel"}
+             "benign-race-manifest", "fault-point-in-parallel",
+             "omp-default-none", "no-rand", "no-stream-log",
+             "atomic-read-snapshot"}
 
 # Integer-valued types (any width): an edgeweight (double) flowing into
 # one of these silently truncates the fractional part.
@@ -62,8 +63,8 @@ _INTEGERISH = NARROW_INT_TYPES | {
 
 
 class Allows:
-    """grapr:analyze-allow bookkeeping for one file (mirrors the lint's
-    lint-allow semantics: same line or the contiguous // block above)."""
+    """grapr:analyze-allow bookkeeping for one file: an allow on the
+    offending line or in the contiguous // block above it covers it."""
 
     def __init__(self, lines: list[str]):
         self.lines = lines
@@ -322,9 +323,16 @@ SUBSCRIPT_WRITE = (r"\[[^\[\]]*\]\s*"
                    r"(?:=(?!=)|\+=|-=|\*=|/=|\|=|&=|\^=|\+\+|--)")
 
 
+def _reasonless(rest: str, next_line: str) -> bool:
+    """No `: <reason>` after the annotation; the reason may start on the
+    next // line when the colon ends the line."""
+    following = next_line.strip()
+    return not rest.startswith(":") or not (
+        rest[1:].strip() or following.startswith("//") and following[2:])
+
+
 def check_annotation_liveness(model: FileModel, blanked: list[str],
-                              allows: Allows,
-                              lint_module) -> list[Finding]:
+                              allows: Allows) -> list[Finding]:
     findings: list[Finding] = []
     lines = model.lines
 
@@ -333,11 +341,23 @@ def check_annotation_liveness(model: FileModel, blanked: list[str],
                    for fn in model.functions)
 
     for i, raw in enumerate(lines):
+        next_line = lines[i + 1] if i + 1 < len(lines) else ""
+        m = ANALYZE_ALLOW.search(raw)
+        if m and _reasonless(m.group("rest"), next_line):
+            _report(findings, allows, model.path, i + 1,
+                    "annotation-liveness",
+                    "grapr:analyze-allow needs a reason: "
+                    "'grapr:analyze-allow(<check>): <reason>'")
         m = ANNOTATION.search(raw)
         if not m:
             continue
         var = m.group("var")
         line1 = i + 1
+        if _reasonless(m.group("rest"), next_line):
+            _report(findings, allows, model.path, line1,
+                    "annotation-liveness",
+                    f"grapr:benign-race({var}) needs a reason: "
+                    "'grapr:benign-race(<var>): <reason>'")
         window = range(i, min(len(blanked), i + 9))
         site = None
         for j in window:
@@ -371,20 +391,6 @@ def check_annotation_liveness(model: FileModel, blanked: list[str],
                     "annotation-liveness",
                     f"grapr:benign-race({var}) sits outside any function "
                     "body; annotations must mark a concrete site")
-
-    # Escalate the lint's unused-suppression *warnings* to analyzer errors:
-    # a lint-allow that suppresses nothing is a stale contract exception.
-    if lint_module is not None:
-        linter = lint_module.FileLint(model.path,
-                                      [ln.rstrip("\n") for ln in lines])
-        linter.lint()
-        for f in linter.findings:
-            if f.warning and "unused grapr:lint-allow" in f.message:
-                _report(findings, allows, model.path, f.line,
-                        "annotation-liveness",
-                        "stale suppression: this grapr:lint-allow no longer "
-                        "matches any lint finding — delete it (regenerate "
-                        "with tools/grapr_lint if the rule moved)")
     return findings
 
 

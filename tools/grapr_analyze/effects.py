@@ -17,10 +17,11 @@ write on a four-point effect lattice:
                  a reduction clause
   disjoint       the written element is selected by an index derived from
                  the worksharing induction variable (so no two threads
-                 touch the same element) AND the region never reads the
-                 container at a non-derived ("foreign") index — a foreign
-                 read means other threads observe the written slots and
-                 the disjointness of the *writes* no longer proves
+                 touch the same element) AND the region reads the
+                 container only at the indices it writes — any other
+                 ("foreign") read, derived or not (`label[(v + 1) % n]`),
+                 means other threads observe the written slots and the
+                 disjointness of the *writes* no longer proves
                  race-freedom
   racy           everything else — a real data race that must carry a
                  live `grapr:benign-race(<var>)` annotation naming the
@@ -48,9 +49,18 @@ Checks built on the classification (ids registered in checks.CHECK_IDS):
                            runtime benign-write trace against it)
   fault-point-in-parallel  a GRAPR_FAULT_POINT reached from inside a
                            parallel region, at ANY call depth (cross-TU
-                           fixed-point summary) — the authoritative
-                           interprocedural answer behind grapr_lint's
-                           one-level textual rule
+                           fixed-point summary)
+
+and the textual half of the contract, over the same regions:
+
+  omp-default-none         every `#pragma omp parallel` carries
+                           default(none), so default(shared) is out too
+  no-rand                  rand()/srand()/drand48()/... anywhere: parallel
+                           code draws from support/random.hpp
+  no-stream-log            std::cout/std::cerr/printf inside a region
+  atomic-read-snapshot     every `#pragma omp atomic read` in a region is
+                           a stale snapshot and needs a live
+                           grapr:benign-race(<var>) naming what it reads
 
 Known false-negative edges (kept deliberately; documented in DESIGN.md):
 pointer-laundered aliases (`auto& r = shared; r[i] = v` inside the region
@@ -78,6 +88,7 @@ from protocol import FAULT_SITE, strip_comments, _call_names
 EFFECT_CHECK_IDS = {
     "shared-write-safety", "benign-race-validity", "region-alloc",
     "benign-race-manifest", "fault-point-in-parallel",
+    "omp-default-none", "no-rand", "no-stream-log", "atomic-read-snapshot",
 }
 
 THREAD_LOCAL_LABEL = "thread-local"
@@ -95,9 +106,12 @@ PUBLISH_METHODS = {"set", "moveToSubset", "addToSubset", "removeFromSubset",
                    "add"}
 
 # Container-growth methods: any of these on a shared receiver inside a
-# region is a heap-allocation hazard (region-alloc).
+# region is a heap-allocation hazard (region-alloc), and like every
+# container mutation below it is a write to the receiver chain.
 GROWTH_METHODS = {"push_back", "emplace_back", "emplace", "insert",
                   "resize", "reserve", "assign"}
+MUTATING_METHODS = GROWTH_METHODS | {"pop_back", "erase", "clear",
+                                     "shrink_to_fit"}
 
 ALLOC_CALLS = {"make_unique", "make_shared"}
 
@@ -126,6 +140,12 @@ _LAMBDA_DECL = re.compile(
 _STATIC_CAST = re.compile(r"static_cast\s*<[^<>]*(?:<[^<>]*>)?[^<>]*>")
 _TID = re.compile(r"\bomp_get_thread_num\s*\(")
 _NEW_EXPR = re.compile(r"(?<!operator )\bnew\b(?!\s*\()")
+_BANNED_RNG = re.compile(
+    r"(?<![\w:.>])(rand|srand|drand48|lrand48|mrand48|random)\s*\(")
+_STREAM_LOG = re.compile(
+    r"std::cout|std::cerr|(?<![\w:.>])(?:printf|fprintf|puts)\s*\(")
+_DEFAULT_NONE = re.compile(r"\bdefault\s*\(\s*none\s*\)")
+_ATOMIC_READ = re.compile(r"^\s*#\s*pragma\s+omp\s+atomic\s+read\b")
 
 _CPPISH = {
     "if", "for", "while", "switch", "return", "else", "do", "sizeof",
@@ -143,7 +163,7 @@ class WriteSite:
     index_text: str           # element selector text ("" for whole-object)
     classification: str
     reason: str
-    kind: str                 # "assign" | "publish" | "incdec"
+    kind: str                 # "assign" | "publish" | "incdec" | "mutate"
 
 
 @dataclass
@@ -359,6 +379,22 @@ def _slice_derived(text: str, derived: set[str],
                          re.sub(r"\[[^\[\]]*\]", " ", t))
 
 
+def _norm_index(text: str) -> str:
+    """Index text without casts, whitespace or enclosing parentheses, so
+    `v`, `( v )` and `static_cast<std::size_t>(v)` compare equal."""
+    t = re.sub(r"\s+", "", _strip_casts(text))
+    while t.startswith("("):
+        depth = 0
+        for j, ch in enumerate(t):
+            depth += {"(": 1, ")": -1}.get(ch, 0)
+            if depth == 0:
+                break
+        if j != len(t) - 1:
+            break
+        t = t[1:-1]
+    return t
+
+
 def _split_commas(text: str) -> list[str]:
     """Split on top-level commas (outside parens/brackets/braces)."""
     parts, depth, start = [], 0, 0
@@ -490,9 +526,12 @@ def analyze_region(model: FileModel, blanked: list[str],
                 rest = text[m.end():]
                 arg = rest.split(",")[0].split(")")[0]
                 raw_writes.append((ln, base, arg.strip(), "publish"))
+            if re.search(r"\.\s*local\s*\(", chain):
+                continue
+            if meth in MUTATING_METHODS:
+                br = re.findall(r"\[([^\[\]]*)\]", chain)
+                raw_writes.append((ln, base, br[-1] if br else "", "mutate"))
             if meth in GROWTH_METHODS or meth in ALLOC_CALLS:
-                if ".local()" in chain or ".local ()" in chain:
-                    continue
                 if base in ra.locals_:
                     continue
                 ra.alloc_sites.append(
@@ -505,6 +544,14 @@ def analyze_region(model: FileModel, blanked: list[str],
 
     # ---- foreign-read scan per written base ----
     def has_foreign_access(base: str) -> bool:
+        written = {_norm_index(idx) for _ln, b, idx, _k in raw_writes
+                   if b == base and idx}
+
+        def foreign(idx: str) -> bool:
+            ids = _idents(idx)
+            return bool(ids) and (not ids <= ra.derived
+                                  or _norm_index(idx) not in written)
+
         pat_sub = re.compile(rf"\b{re.escape(base)}\s*\[([^\[\]]*)\]")
         pat_meth = re.compile(
             rf"\b{re.escape(base)}\s*(?:\.|->)\s*([A-Za-z_]\w*)\s*\(")
@@ -514,17 +561,14 @@ def analyze_region(model: FileModel, blanked: list[str],
                 # so its reads are ordered after every disjoint write.
                 continue
             for m in pat_sub.finditer(text):
-                ids = _idents(m.group(1))
-                if ids and not ids <= ra.derived:
+                if foreign(m.group(1)):
                     return True
             for m in pat_meth.finditer(text):
                 meth = m.group(1)
                 if meth not in READ_METHODS:
                     continue
                 rest = text[m.end():]
-                arg = rest.split(",")[0].split(")")[0]
-                ids = _idents(arg)
-                if ids and not ids <= ra.derived:
+                if foreign(rest.split(",")[0].split(")")[0]):
                     return True
         return False
 
@@ -604,6 +648,14 @@ def _annotated(model: FileModel, line1: int, var: str) -> bool:
     return False
 
 
+def _snapshot_reads(fe: FileEffects, aline: int, avar: str) -> list[int]:
+    """Lines in the window of the annotation at aline that an `omp atomic
+    read` covers and that read avar: the stale snapshots it excuses."""
+    return [j for j in range(aline, min(aline + 9, len(fe.blanked) + 1))
+            if "atomic-read" in fe.model.sync_lines.get(j, set())
+            and re.search(rf"\b{re.escape(avar)}\b", fe.blanked[j - 1])]
+
+
 def _benign_set(fe: FileEffects) -> set[str]:
     """Validated benign races in this file, as '<dir/file>:<var>' keys:
     annotated racy writes plus annotated atomic-read stale snapshots."""
@@ -617,11 +669,8 @@ def _benign_set(fe: FileEffects) -> set[str]:
     # this TU — e.g. volume View::read helpers called from regions in
     # another TU).
     for aline, avar in _annotations(fe.model):
-        for j in range(aline, min(aline + 9, len(fe.blanked) + 1)):
-            if "atomic-read" in fe.model.sync_lines.get(j, set()) and \
-                    re.search(rf"\b{re.escape(avar)}\b", fe.blanked[j - 1]):
-                out.add(f"{fe.key}:{avar}")
-                break
+        if _snapshot_reads(fe, aline, avar):
+            out.add(f"{fe.key}:{avar}")
     return out
 
 
@@ -668,11 +717,7 @@ def check_benign_race_validity(fe: FileEffects,
         # All anchored writes are proven safe. An atomic-read stale
         # snapshot in the same window still justifies the annotation
         # (the benign race is the read, not the write).
-        stale_read = any(
-            "atomic-read" in fe.model.sync_lines.get(j, set())
-            and re.search(rf"\b{re.escape(avar)}\b", fe.blanked[j - 1])
-            for j in range(aline, min(aline + 9, len(fe.blanked) + 1)))
-        if stale_read:
+        if _snapshot_reads(fe, aline, avar):
             continue
         w = anchored[0]
         _report(findings, allows, fe.model.path, aline,
@@ -737,6 +782,40 @@ def check_fault_point_in_parallel(fe: FileEffects, esum: EffectSummary,
     return findings
 
 
+def check_region_hygiene(fe: FileEffects, allows: Allows) -> list[Finding]:
+    """omp-default-none, no-rand, no-stream-log and atomic-read-snapshot:
+    textual rules over the comment-blanked lines and the region map."""
+    findings: list[Finding] = []
+    path = fe.model.path
+    excused = {j for aline, var in _annotations(fe.model)
+               for j in _snapshot_reads(fe, aline, var)}
+    for ln, text in enumerate(fe.blanked, start=1):
+        m = _BANNED_RNG.search(text)
+        if m:
+            _report(findings, allows, path, ln, "no-rand",
+                    f"'{m.group(1)}()' shares hidden global state across "
+                    "threads; draw from the engines in support/random.hpp")
+    for ra in fe.regions:
+        region = ra.region
+        if not _DEFAULT_NONE.search(region.text):
+            _report(findings, allows, path, region.pragma_line,
+                    "omp-default-none",
+                    "parallel region without default(none): every region "
+                    "declares its data sharing explicitly")
+        for ln in range(region.pragma_line, region.end + 1):
+            text = fe.blanked[ln - 1]
+            if ln >= region.start and _STREAM_LOG.search(text):
+                _report(findings, allows, path, ln, "no-stream-log",
+                        "stream/printf logging inside a parallel region "
+                        "interleaves and serializes; log after the region")
+            if _ATOMIC_READ.match(text) and ln + 1 not in excused:
+                _report(findings, allows, path, ln, "atomic-read-snapshot",
+                        "atomic read of concurrently updated state takes a "
+                        "stale snapshot by design; mark it "
+                        "grapr:benign-race(<var>): <reason>")
+    return findings
+
+
 # --------------------------------------------------------------------------
 # benign-race-manifest
 # --------------------------------------------------------------------------
@@ -755,7 +834,7 @@ def parse_manifest(path: Path):
     infra: dict[str, int] = {}
     errors: list[tuple[int, str]] = []
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        text = raw.strip()
+        text = re.sub(r"\s#.*$", "", raw).strip()
         if not text or text.startswith("#"):
             continue
         m = _INFRA.match(text)
@@ -910,6 +989,7 @@ def run_effects_checks(pairs, fixture_mode: bool,
         findings += check_benign_race_validity(fe, allows)
         findings += check_region_alloc(fe, allows)
         findings += check_fault_point_in_parallel(fe, esum, allows)
+        findings += check_region_hygiene(fe, allows)
     if not fixture_mode or explicit_manifest:
         findings += check_benign_race_manifest(
             file_effects, manifest, tsan_supp)

@@ -3,7 +3,7 @@
 Used when the `clang` python package and a matching libclang shared
 library are importable (the CI analyze job pins both); ctest environments
 without libclang fall back to frontend_micro. Both frontends lower to the
-same IR (model.py), and the must-fail fixtures pin the shared behaviour.
+same IR (model.py), and the seeded fixtures pin the shared behaviour.
 
 The lowering is deliberately shallow: the checks reason about declared
 local types, statement order, and calls on named receivers — so this

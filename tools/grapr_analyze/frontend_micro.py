@@ -8,7 +8,7 @@ comments/strings, walks braces/parens to recover scopes and statements,
 and lowers each statement with a handful of declarator/assignment/call
 regexes into the same IR the clang frontend produces. That is precise
 enough for the three checks (they reason about declared local types,
-method calls on named receivers, and statement order), and the must-fail
+method calls on named receivers, and statement order), and the seeded
 fixtures pin the behaviour both frontends must agree on.
 
 Known, accepted imprecision (documented here so nobody "fixes" the
@@ -79,15 +79,27 @@ CLASS_RE = re.compile(r"\b(?:class|struct)\s+(?P<name>[A-Za-z_]\w*)")
 NAMESPACE_RE = re.compile(r"^namespace(?:\s+(?P<name>[A-Za-z_]\w*))?\s*$")
 
 
+_DIRECTIVE = re.compile(r"[ \t]*#")
+
+
 def blank(lines: list[str]) -> list[str]:
     """Blank comments and string/char literal contents, preserving line
-    structure, so the segmenter never trips over braces in text."""
+    structure, so the segmenter never trips over braces in text. A block
+    comment that spans the newline of a preprocessor directive is one
+    space to the preprocessor, so the directive goes on: the blanked line
+    gets a `\\` continuation to say so."""
     text = "\n".join(lines)
     out: list[str] = []
     i, n = 0, len(text)
     state = "code"
+    directive = bool(_DIRECTIVE.match(text))
     while i < n:
         c = text[i]
+        if c == "\n":
+            if state == "block" and directive:
+                out.append(" \\")
+            directive = (directive and bool(out) and out[-1] == "\\") or (
+                state != "block" and bool(_DIRECTIVE.match(text, i + 1)))
         if state == "code":
             if c == "/" and i + 1 < n and text[i + 1] == "/":
                 state, i = "line", i + 2

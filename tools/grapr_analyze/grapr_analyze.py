@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """grapr_analyze: AST-grounded contract analyzer for the grapr codebase.
 
-Thirteen checks, driven by the exported compile_commands.json (see
+Seventeen checks, driven by the exported compile_commands.json (see
 checks.py, protocol.py and effects.py for rule details and the sanctioned
 escape hatches):
 
@@ -10,9 +10,9 @@ escape hatches):
                        the coarsening pipeline)
   index-width          implicit narrowing of count/index/node/edgeweight
                        into 32-bit or lossy types
-  annotation-liveness  grapr:benign-race / grapr:lint-allow /
-                       grapr:analyze-allow annotations must anchor a real
-                       site; stale or typo'd ones fail
+  annotation-liveness  grapr:benign-race / grapr:analyze-allow
+                       annotations must anchor a real site and give a
+                       reason; stale or typo'd ones fail
   suppression-liveness tools/sanitizers/tsan.supp entries must still name
                        a defined symbol that reaches a parallel region
   durability-order     WAL append -> fsync -> publish, and checkpoint
@@ -42,10 +42,14 @@ escape hatches):
                        points (test_race_check drives the dynamic half)
   fault-point-in-parallel
                        a GRAPR_FAULT_POINT reached from a parallel region
-                       at any call depth (the interprocedural authority
-                       behind grapr_lint's one-level textual rule)
+                       at any call depth
+  omp-default-none     every `#pragma omp parallel` carries default(none)
+  no-rand              rand()/srand()/drand48()/... are banned everywhere
+  no-stream-log        no std::cout/std::cerr/printf inside a region
+  atomic-read-snapshot every `#pragma omp atomic read` in a region carries
+                       a live grapr:benign-race(<var>)
 
-Use `--check parallel-effects` to run only the five effects.py checks
+Use `--check parallel-effects` to run only the nine effects.py checks
 (or pass a comma-separated list of check ids).
 
 Frontends (--frontend):
@@ -63,8 +67,12 @@ Usage:
                    [--exclude GLOB]... [files...]
 
 With explicit files, only those files are analyzed and the tsan.supp
-audit and fault-manifest cross-check are skipped (fixture mode). Exit
-status 1 if any finding remains.
+audit and fault-manifest cross-check are skipped (fixture mode). A
+fixture states what it must report: `grapr:expect(<check>[,<check>])` in
+a comment marks a line (a row of an explicitly passed --benign-manifest
+may carry it after `#`). In fixture mode the exit status is 0 exactly
+when the findings equal those expectations; otherwise it is 1 if any
+finding remains.
 """
 
 from __future__ import annotations
@@ -72,6 +80,7 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -85,16 +94,18 @@ from frontend_micro import MicroFrontend, blank  # noqa: E402
 from model import FileModel, build_summary       # noqa: E402
 
 
-def _import_lint():
-    lint_dir = Path(__file__).resolve().parent.parent / "grapr_lint"
-    if not lint_dir.exists():
-        return None
-    sys.path.insert(0, str(lint_dir))
-    try:
-        import grapr_lint
-        return grapr_lint
-    except Exception:
-        return None
+EXPECT = re.compile(r"grapr:expect\((?P<checks>[\w,\s-]+)\)")
+
+
+def expectations(paths: list[Path]) -> set[tuple[str, int, str]]:
+    """(resolved path, line, check) for every grapr:expect marker."""
+    out = set()
+    for path in paths:
+        for line, raw in enumerate(path.read_text().splitlines(), start=1):
+            for m in EXPECT.finditer(raw):
+                out |= {(str(path.resolve()), line, c.strip())
+                        for c in m.group("checks").split(",") if c.strip()}
+    return out
 
 
 def collect_files(args: argparse.Namespace) -> list[Path]:
@@ -188,7 +199,6 @@ def main() -> int:
     src_root = Path(args.root).resolve()
     frontend = pick_frontend(args.frontend, cc, src_root)
     micro = MicroFrontend()
-    lint_module = _import_lint()
 
     models: list[FileModel] = []
     pairs = []   # (model, blanked, allows)
@@ -220,7 +230,7 @@ def main() -> int:
         findings += checks.check_index_width(model, allows)
         findings += checks.check_csr_staleness(model, summary, allows)
         findings += checks.check_annotation_liveness(
-            model, blanked, allows, lint_module)
+            model, blanked, allows)
     if args.fault_manifest is None:
         manifest = (Path(__file__).resolve().parent.parent.parent
                     / "tests" / "fault_sites.txt")
@@ -283,7 +293,20 @@ def main() -> int:
         nfn = sum(len(m.functions) for m in models)
         print(f"grapr-analyze: frontend={frontend.name}, {len(files)} "
               f"files, {nfn} functions, {len(findings)} findings")
-    return 1 if findings else 0
+    if not args.files:
+        return 1 if findings else 0
+    expect_files = files + ([benign_manifest]
+                            if args.benign_manifest else [])
+    expected = {e for e in expectations(expect_files)
+                if args.check == "all" or e[2] in selected}
+    found = {(str(f.path.resolve()), f.line, f.check) for f in findings}
+    for path, line, check in sorted(expected - found):
+        print(f"{path}:{line}: error: expected a [{check}] finding here; "
+              "none was reported")
+    for path, line, check in sorted(found - expected):
+        print(f"{path}:{line}: error: [{check}] finding not marked "
+              "grapr:expect")
+    return 0 if found == expected else 1
 
 
 if __name__ == "__main__":

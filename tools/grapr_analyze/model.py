@@ -83,7 +83,7 @@ NODE_RETURN_METHODS = {
 # Graph methods that mutate the adjacency structure or edge weights: a
 # frozen CsrGraph view of the receiver is stale after any of these. The
 # list mirrors the GRAPR_VIEW_BUMP call sites in graph.cpp — keep both in
-# sync (the must-fail fixtures pin the overlap).
+# sync (the seeded fixtures pin the overlap).
 GRAPH_MUTATORS = {
     "addNode", "removeNode", "addEdge", "addEdgeChecked", "removeEdge",
     "increaseWeight", "sortNeighborLists",
@@ -324,6 +324,7 @@ def build_summary(models: list[FileModel]) -> Summary:
 import re as _re
 
 _PRAGMA_OMP = _re.compile(r"^\s*#\s*pragma\s+omp\b(?P<rest>.*)$")
+_DIRECTIVE = _re.compile(r"^\s*#")
 _CLAUSE = _re.compile(r"\b(shared|private|firstprivate|lastprivate)\s*\(")
 _REDUCTION = _re.compile(r"\breduction\s*\(")
 _FOR_HEADER = _re.compile(
@@ -333,18 +334,21 @@ _LOCK_UNSET = _re.compile(r"\bomp_unset_lock\s*\(")
 
 
 def _logical_pragmas(lines: list[str]) -> list[tuple[int, int, str]]:
-    """Join backslash continuations: (first_line0, last_line0, text) per
-    logical `#pragma omp` line."""
+    """(first_line0, last_line0, text) per logical `#pragma omp` line.
+    Continuations are joined before the directive is classified, so
+    `#pragma \\` + `omp parallel` is still an omp pragma."""
     out = []
     i = 0
     while i < len(lines):
-        if _PRAGMA_OMP.match(lines[i]):
+        if _DIRECTIVE.match(lines[i]):
             start = i
             text = lines[i].rstrip()
             while text.endswith("\\") and i + 1 < len(lines):
                 text = text[:-1].rstrip() + " " + lines[i + 1].strip()
                 i += 1
-            out.append((start, i, " ".join(text.split())))
+            text = " ".join(text.split())
+            if _PRAGMA_OMP.match(text):
+                out.append((start, i, text))
         i += 1
     return out
 
@@ -379,8 +383,8 @@ def _block_extent(lines: list[str], i: int) -> tuple[int, int]:
     single statement), or a single `;`-terminated statement. Skips further
     pragma lines (chained worksharing directives) first."""
     n = len(lines)
-    while i < n and (_PRAGMA_OMP.match(lines[i]) or not lines[i].strip()):
-        if _PRAGMA_OMP.match(lines[i]):
+    while i < n and (_DIRECTIVE.match(lines[i]) or not lines[i].strip()):
+        if _DIRECTIVE.match(lines[i]):
             while lines[i].rstrip().endswith("\\") and i + 1 < n:
                 i += 1
         i += 1

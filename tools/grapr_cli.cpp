@@ -1,13 +1,14 @@
 // grapr — command-line interface to the community detection framework.
 //
-//   grapr generate --type lfr --n 100000 --mu 0.3 --out g.grpr
-//   grapr detect   --algo PLM --in g.grpr --out communities.txt
-//   grapr stats    --in g.grpr
-//   grapr compare  --a communities.txt --b truth.txt [--graph g.grpr]
+//   grapr generate --type lfr --n 100000 --mu 0.3 --out g.gcsr
+//   grapr detect   --algo PLM --in g.gcsr --out communities.txt
+//   grapr stats    --in g.gcsr
+//   grapr compare  --a communities.txt --b truth.txt [--graph g.gcsr]
 //   grapr convert  --in g.metis --out g.tsv
 //
 // Graph formats are inferred from the extension: .metis/.graph (METIS),
-// .grpr (grapr binary), anything else is read/written as a whitespace
+// .gcsr (binary CSR, io/binary_csr.hpp), anything else is read/written as
+// a whitespace
 // edge list. The tool is the scripting surface of the library — the
 // paper's "interactive data analysis workflow" driven from a shell.
 
@@ -61,7 +62,10 @@ namespace {
         "                    aborting with a parse error\n"
         "  --io-threads N    parser threads for text formats (default: all)\n"
         "  --weighted        edge-list files carry a third weight column\n"
-        "  --one-indexed     edge-list node ids start at 1, not 0\n");
+        "  --one-indexed     edge-list node ids start at 1, not 0\n"
+        "\n"
+        "graph files by extension: .metis/.graph (METIS), .gcsr (binary\n"
+        "CSR), .dot (write only), anything else a whitespace edge list.\n");
     std::exit(2);
 }
 
@@ -122,15 +126,15 @@ Graph loadGraph(const std::string& path, const Args& args) {
     if (endsWith(path, ".metis") || endsWith(path, ".graph")) {
         return io::readMetis(path, options);
     }
-    if (endsWith(path, ".grpr")) return io::readBinary(path);
+    if (endsWith(path, ".gcsr")) return io::readBinaryCsr(path).graph.toGraph();
     return io::readEdgeListCsr(path, options).toGraph();
 }
 
 void saveGraph(const Graph& g, const std::string& path) {
     if (endsWith(path, ".metis") || endsWith(path, ".graph")) {
         io::writeMetis(g, path);
-    } else if (endsWith(path, ".grpr")) {
-        io::writeBinary(g, path);
+    } else if (endsWith(path, ".gcsr")) {
+        io::writeBinaryCsr(CsrGraph(g), 0, path);
     } else if (endsWith(path, ".dot")) {
         io::writeDot(g, path);
     } else {
