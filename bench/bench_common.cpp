@@ -3,8 +3,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <sstream>
 
 #include <omp.h>
+#include <unistd.h>
 
 #include "baselines/registry.hpp"
 #include "generators/barabasi_albert.hpp"
@@ -227,6 +229,28 @@ void printPlatformBanner(const std::string& benchName) {
     );
     if (quickMode()) std::printf("# GRAPR_BENCH_QUICK=1: reduced sizes\n");
     std::printf("#\n");
+}
+
+std::string hostJson() {
+    const long nproc = sysconf(_SC_NPROCESSORS_ONLN);
+    // The team size a parallel region actually gets, not the request.
+    int inUse = 0;
+#pragma omp parallel default(none) shared(inUse)
+    {
+#pragma omp single
+        inUse = omp_get_num_threads();
+    }
+#ifdef NDEBUG
+    const char* buildType = "Release";
+#else
+    const char* buildType = "Debug";
+#endif
+    std::ostringstream json;
+    json << "{\"nproc\": " << nproc << ", \"omp_threads\": " << inUse
+         << ", \"compiler\": \"" << __VERSION__ << "\", \"build_type\": \""
+         << buildType << "\", \"serial\": " << (inUse == 1 ? "true" : "false")
+         << "}";
+    return json.str();
 }
 
 count expensiveAlgorithmEdgeCap() {

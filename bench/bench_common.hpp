@@ -64,6 +64,12 @@ RunResult measureDetectorCached(const std::string& algorithmName,
 /// the paper's Table II so every output file is self-describing.
 void printPlatformBanner(const std::string& benchName);
 
+/// The host header of a BENCH_*.json, as a JSON object: core count, the
+/// OpenMP team size a parallel region actually gets, compiler, build type,
+/// and whether the run was serial (the fields perfbench records), so a
+/// committed number from a 1-core host cannot pass for a parallel result.
+std::string hostJson();
+
 /// Edge threshold above which the expensive sequential competitors
 /// (RG, CGGC, CGGCi) are skipped unless GRAPR_BENCH_FULL=1 is set; the
 /// harnesses print an explicit "skipped" marker, mirroring how the paper

@@ -21,15 +21,23 @@
 //     fraction and the modularity gap — the acceptance numbers of the
 //     streaming PR (<10% of nodes, gap <= 5e-3 on rmat_s18).
 //
+// Plus one instance-independent row: the fixed cost of re-detection,
+// StreamingPlm::applyBatch with an empty touched list on a converged
+// RMAT s16 partition (the stream-recover graph of perfbench), at 1 thread
+// and at the bench thread count. Nothing moves, so every millisecond of
+// it is per-batch overhead that does not scale with the batch.
+//
 // Batch streams are recorded once against the evolving state (the
 // workload generator is counter-based and deterministic), then replayed
 // for every timed repetition, interleaved round-robin after a warmup so
 // machine-load swings hit all variants alike; speedups use minima.
 //
-// Emits BENCH_stream.json; tools/check_perf_regression.py (--metric
-// updates_per_sec:... --metric speedup_batch_vs_rebuild:...) compares a
-// fresh --quick run against the committed file in CI, with rmat_s13 as
-// the shared anchor instance (measured in both modes).
+// Emits BENCH_stream.json with a host header (core count, OpenMP threads,
+// compiler, serial flag); tools/check_perf_regression.py (--metric
+// updates_per_sec:... --metric speedup_batch_vs_rebuild:... --metric
+// speedup_incremental_vs_scratch:...) compares a fresh --quick run
+// against the committed file in CI, with rmat_s13 as the shared anchor
+// instance (measured in both modes).
 //
 // Flags/environment: --quick or GRAPR_BENCH_QUICK=1 shrinks the instance
 // list; GRAPR_BENCH_THREADS overrides the thread count (default 4).
@@ -67,6 +75,9 @@ using grapr::testing::StreamWorkloadConfig;
 namespace {
 
 constexpr int kRepetitions = 5;
+/// Empty batches are cheap and their minimum is the number that matters,
+/// so they get more samples.
+constexpr int kEmptyBatchRepetitions = 11;
 
 struct Measurement {
     double minimum = 0.0;
@@ -163,6 +174,50 @@ struct InstanceReport {
         return batched > 0.0 ? rebuild / batched : 0.0;
     }
 };
+
+struct EmptyBatchReport {
+    count nodes = 0;
+    count edges = 0;
+    count communities = 0;
+    /// (threads, minimum milliseconds of one empty applyBatch)
+    std::vector<std::pair<int, double>> milliseconds;
+};
+
+/// Fixed per-batch cost of incremental PLM: applyBatch with nothing
+/// touched, on the converged partition of an RMAT s16 graph. The state
+/// does not change (no node is evaluated), so one detector serves every
+/// sample.
+EmptyBatchReport measureEmptyBatch(int threads) {
+    Random::setSeed(6016);
+    Graph g = RmatGenerator(16, 8).generate();
+    g.sortNeighborLists();
+    const CsrGraph csr(g);
+    StreamingPlm detector;
+    Random::setSeed(6017);
+    detector.initialize(csr);
+
+    EmptyBatchReport report;
+    report.nodes = csr.numberOfNodes();
+    report.edges = csr.numberOfEdges();
+    report.communities = detector.communities().upperBound();
+    const std::vector<node> nothing;
+    std::vector<int> teams{1};
+    if (threads != 1) teams.push_back(threads);
+    for (const int team : teams) {
+        Parallel::setThreads(team);
+        detector.applyBatch(csr, nothing); // warmup
+        std::vector<double> samples;
+        for (int rep = 0; rep < kEmptyBatchRepetitions; ++rep) {
+            Timer t;
+            detector.applyBatch(csr, nothing);
+            samples.push_back(t.elapsed());
+        }
+        report.milliseconds.emplace_back(
+            team, 1e3 * toMeasurement(std::move(samples)).minimum);
+    }
+    Parallel::setThreads(threads);
+    return report;
+}
 
 /// Record the batch stream once against the evolving engine state; the
 /// workload is counter-based, so this is THE stream for (config, base).
@@ -341,16 +396,29 @@ InstanceReport measureInstance(const std::string& name,
     return report;
 }
 
-void writeJson(const std::vector<InstanceReport>& reports, int threads,
-               bool quick) {
+void writeJson(const std::vector<InstanceReport>& reports,
+               const EmptyBatchReport& empty, int threads, bool quick) {
     std::ostringstream json;
     json << "{\n";
     json << "  \"bench\": \"micro_stream\",\n";
+    json << "  \"host\": " << bench::hostJson() << ",\n";
     json << "  \"threads\": " << threads << ",\n";
     json << "  \"repetitions\": " << kRepetitions << ",\n";
     json << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
     json << "  \"updates_per_sec_definition\": "
             "\"(batches * ops_per_batch) / batched.min_seconds\",\n";
+    json << "  \"redetect_empty_batch\": {\"instance\": \"rmat_s16\", "
+            "\"recipe\": \"RMAT scale 16, edge factor 8\", \"nodes\": "
+         << empty.nodes << ", \"edges\": " << empty.edges
+         << ", \"communities\": " << empty.communities
+         << ", \"repetitions\": " << kEmptyBatchRepetitions
+         << ", \"redetect_empty_batch_ms\": {";
+    for (std::size_t i = 0; i < empty.milliseconds.size(); ++i) {
+        json << (i > 0 ? ", " : "") << "\"threads_"
+             << empty.milliseconds[i].first
+             << "\": " << empty.milliseconds[i].second;
+    }
+    json << "}},\n";
     json << "  \"instances\": [\n";
     for (std::size_t i = 0; i < reports.size(); ++i) {
         const auto& rep = reports[i];
@@ -374,6 +442,8 @@ void writeJson(const std::vector<InstanceReport>& reports, int threads,
              << ",\n";
         json << "      \"speedup_batch_vs_rebuild\": "
              << rep.batchedSpeedup() << ",\n";
+        json << "      \"speedup_incremental_vs_scratch\": "
+             << rep.incremental.speedup() << ",\n";
         json << "      \"concurrent\": {\"readers\": "
              << rep.concurrent.readers
              << ", \"elapsed_seconds\": " << rep.concurrent.elapsedSeconds
@@ -392,7 +462,6 @@ void writeJson(const std::vector<InstanceReport>& reports, int threads,
              << ", \"modularity_gap\": " << inc.gap()
              << ", \"min_seconds_incremental\": " << inc.secondsIncremental
              << ", \"min_seconds_scratch\": " << inc.secondsScratch
-             << ", \"speedup_incremental_vs_scratch\": " << inc.speedup()
              << "}\n";
         json << "    }" << (i + 1 < reports.size() ? "," : "") << "\n";
     }
@@ -440,6 +509,14 @@ int main(int argc, char** argv) {
             /*batches=*/32, /*opsPerBatch=*/2048, quick));
     }
 
+    const EmptyBatchReport empty = measureEmptyBatch(threads);
+
+    std::cout << "\n";
+    std::cout << "empty-batch re-detection, rmat_s16 (n=" << empty.nodes
+              << ", k=" << empty.communities << "):";
+    for (const auto& [team, ms] : empty.milliseconds) {
+        std::cout << "  " << ms << " ms at " << team << " thread(s)";
+    }
     std::cout << "\n";
     for (const auto& rep : reports) {
         std::cout << rep.name << "  (n=" << rep.nodes << ", m=" << rep.edges
@@ -461,6 +538,6 @@ int main(int argc, char** argv) {
                   << ", speedup vs scratch " << inc.speedup() << "x\n";
     }
 
-    writeJson(reports, threads, quick);
+    writeJson(reports, empty, threads, quick);
     return 0;
 }

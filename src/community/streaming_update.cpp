@@ -13,26 +13,23 @@ namespace grapr {
 
 namespace {
 
-/// Grow `zeta` to `bound` node slots, assigning every new node a fresh
-/// unique community id, then compact the ids to [0, k). Returns k. The
-/// shared prologue of both incremental detectors: after it, community ids
-/// are dense, deterministic (ascending-old-id order), and new nodes sit in
-/// their own singletons.
-count growAndCompact(Partition& zeta, count bound) {
+/// Grow `zeta` to `bound` node slots, handing every new node a fresh
+/// singleton id appended from upperBound(). A partition that was dense
+/// ([0, k) all in use, upperBound() == k) stays dense, so growth never
+/// needs a compaction of its own.
+void grow(Partition& zeta, count bound) {
     const count oldSize = zeta.numberOfElements();
     require(bound >= oldSize,
             "streaming update: snapshot bound shrank below the partition");
-    if (bound > oldSize) {
-        Partition grown(bound);
-        node next = zeta.upperBound();
-        for (node v = 0; v < oldSize; ++v) grown.set(v, zeta[v]);
-        for (count v = oldSize; v < bound; ++v) {
-            grown.set(static_cast<node>(v), next++);
-        }
-        grown.setUpperBound(next);
-        zeta = std::move(grown);
+    if (bound == oldSize) return;
+    Partition grown(bound);
+    node next = zeta.upperBound();
+    for (node v = 0; v < oldSize; ++v) grown.set(v, zeta[v]);
+    for (count v = oldSize; v < bound; ++v) {
+        grown.set(static_cast<node>(v), next++);
     }
-    return zeta.compact();
+    grown.setUpperBound(next);
+    zeta = std::move(grown);
 }
 
 /// Touched list filtered to nodes that exist in g with a non-empty row,
@@ -76,7 +73,9 @@ void StreamingPlm::applyBatch(const CsrGraph& g,
     require(initialized_,
             "StreamingPlm::applyBatch: call initialize() first");
     const count bound = g.upperNodeIdBound();
-    const count k = growAndCompact(zeta_, bound);
+    // zeta_ is dense here: runFrozen compacts, and so does every batch.
+    grow(zeta_, bound);
+    const count k = zeta_.upperBound();
 
     // Reserve the split-off range [k, k + bound): node u may leave its
     // community for the empty community k + u when the batch's deletions
@@ -90,7 +89,7 @@ void StreamingPlm::applyBatch(const CsrGraph& g,
         Plm::movePhaseSeeded(g, zeta_, config_.gamma, config_.maxSweeps,
                              frontier, splitBase, &evaluated, config_.minGain);
     lastReactivated_ = evaluated;
-    zeta_.compact(); // drop unused split-off ids, re-densify
+    zeta_.compact(); // the one compaction: drop unused split-off ids
 }
 
 // --- StreamingPlp --------------------------------------------------------
@@ -112,8 +111,10 @@ void StreamingPlp::applyBatch(const CsrGraph& g,
     require(initialized_,
             "StreamingPlp::applyBatch: call initialize() first");
     const count bound = g.upperNodeIdBound();
-    const count k = growAndCompact(zeta_, bound);
-    (void)k;
+    // Not dense on entry: initialize() leaves upperBound() at the node
+    // bound, and a sweep can empty a label. One compaction per batch.
+    grow(zeta_, bound);
+    zeta_.compact();
 
     const index universe =
         std::max<count>(zeta_.upperBound(), bound);

@@ -48,11 +48,15 @@ struct StreamingPlmConfig {
 };
 
 /// Incremental PLM: warm-starts every batch from the converged previous
-/// partition. Each applyBatch compacts the community ids to [0, k),
-/// reserves the empty split-off range [k, k + bound) (node u may leave for
-/// community k + u when deletions strand it — see Plm::movePhaseSeeded),
-/// rebuilds community volumes for the new generation, and runs the seeded
-/// restricted move phase from the touched-node frontier.
+/// partition. The partition is dense between batches (ids [0, k), all in
+/// use, upperBound() == k). Each applyBatch appends a fresh singleton id
+/// for every new node, reserves the empty split-off range [k, k + bound)
+/// (node u may leave for community k + u when deletions strand it — see
+/// Plm::movePhaseSeeded), runs the seeded restricted move phase from the
+/// touched-node frontier, and compacts once to drop the unused split-off
+/// ids. A batch costs O(n + k) fixed work — the move phase's volume
+/// rebuild and the linear compaction (redetect_empty_batch_ms in
+/// BENCH_stream.json) — plus the rows of the nodes the sweep re-activates.
 class StreamingPlm {
 public:
     explicit StreamingPlm(StreamingPlmConfig config = {})
@@ -95,7 +99,9 @@ struct StreamingPlpConfig {
 /// from the touched frontier (dominant-label rule, smaller-id tie break,
 /// sticky labels — a node whose current label ties the dominant weight
 /// stays, so a converged region is a fixpoint and untouched nodes never
-/// churn).
+/// churn). Each applyBatch grows the labels, compacts them once (linear
+/// time) and sweeps; besides the re-activated rows a batch pays O(n) for
+/// that compaction and for the frontier bitmaps.
 class StreamingPlp {
 public:
     explicit StreamingPlp(StreamingPlpConfig config = {})

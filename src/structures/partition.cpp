@@ -1,7 +1,6 @@
 #include "structures/partition.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include <omp.h>
 
@@ -33,45 +32,35 @@ node Partition::mergeSubsets(node a, node b) {
     return keep;
 }
 
-count Partition::compact(bool byFirstAppearance) {
-    std::unordered_map<node, node> remap;
-    remap.reserve(1024);
-    if (byFirstAppearance) {
-        node next = 0;
-        for (auto& c : data_) {
-            if (c == none) continue;
-            auto [it, inserted] = remap.emplace(c, next);
-            if (inserted) ++next;
-            c = it->second;
-        }
-        upperId_ = static_cast<node>(remap.size());
-        return remap.size();
+std::vector<node> Partition::markUsedIds() const {
+    node bound = 0;
+    for (const node c : data_) {
+        if (c != none) bound = std::max(bound, c + 1);
     }
-    // Ascending old-id order: gather distinct ids, sort, build map.
-    std::vector<node> ids;
-    for (node c : data_) {
-        if (c != none) ids.push_back(c);
+    std::vector<node> used(bound, 0);
+    for (const node c : data_) {
+        if (c != none) used[c] = 1;
     }
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    remap.reserve(ids.size());
-    for (index i = 0; i < ids.size(); ++i) remap[ids[i]] = static_cast<node>(i);
-    for (auto& c : data_) {
-        if (c != none) c = remap[c];
+    return used;
+}
+
+count Partition::compact() {
+    // Ascending prefix numbering turns the marks into the new ids in place.
+    std::vector<node> newId = markUsedIds();
+    node next = 0;
+    for (node& slot : newId) {
+        if (slot != 0) slot = next++;
     }
-    upperId_ = static_cast<node>(ids.size());
-    return ids.size();
+    for (node& c : data_) {
+        if (c != none) c = newId[c];
+    }
+    upperId_ = next;
+    return next;
 }
 
 count Partition::numberOfSubsets() const {
-    std::vector<node> ids;
-    ids.reserve(data_.size());
-    for (node c : data_) {
-        if (c != none) ids.push_back(c);
-    }
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    return ids.size();
+    const std::vector<node> used = markUsedIds();
+    return static_cast<count>(std::count(used.begin(), used.end(), 1));
 }
 
 std::vector<count> Partition::subsetSizes() const {

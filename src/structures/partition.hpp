@@ -62,12 +62,15 @@ public:
     /// tests, not inner loops.
     node mergeSubsets(node a, node b);
 
-    /// Relabel community ids to consecutive integers [0, k), preserving
-    /// relative order of first appearance when `byFirstAppearance`, else by
-    /// ascending old id. Returns k.
-    count compact(bool byFirstAppearance = false);
+    /// Relabel community ids to consecutive integers [0, k) in ascending
+    /// old-id order and set upperBound() to k; `none` entries stay `none`.
+    /// Returns k. Any id other than `none` is accepted, including ids
+    /// >= upperBound(). O(n + max id) time and O(max id) scratch (a flat
+    /// table of the used ids; no sort, no hash map).
+    count compact();
 
     /// Number of distinct communities among assigned nodes.
+    /// O(n + max id), the marking pass of compact().
     count numberOfSubsets() const;
 
     /// Size of every community, indexed by community id (requires ids
@@ -98,6 +101,10 @@ public:
 #endif
 
 private:
+    /// Flat table over [0, max id]: 1 at every id some node carries, 0
+    /// elsewhere (empty when every node is `none`).
+    std::vector<node> markUsedIds() const;
+
     std::vector<node> data_;
     node upperId_ = 0;
 #ifdef GRAPR_RACE_CHECK

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "structures/partition.hpp"
 #include "structures/union_find.hpp"
 
@@ -54,18 +58,6 @@ TEST(Partition, CompactAscendingOrder) {
     EXPECT_EQ(p[2], 2u);
 }
 
-TEST(Partition, CompactByFirstAppearance) {
-    Partition p(3);
-    p.set(0, 100);
-    p.set(1, 7);
-    p.set(2, 100);
-    p.setUpperBound(101);
-    EXPECT_EQ(p.compact(/*byFirstAppearance=*/true), 2u);
-    EXPECT_EQ(p[0], 0u);
-    EXPECT_EQ(p[1], 1u);
-    EXPECT_EQ(p[2], 0u);
-}
-
 TEST(Partition, CompactPreservesNone) {
     Partition p(3);
     p.set(0, 9);
@@ -74,6 +66,66 @@ TEST(Partition, CompactPreservesNone) {
     p.compact();
     EXPECT_EQ(p[1], none);
     EXPECT_EQ(p.upperBound(), 1u);
+}
+
+namespace {
+
+/// Reference compaction by sorting: collect the distinct ids, sort them,
+/// and map each label to its rank.
+std::vector<node> sortedRankCompaction(const std::vector<node>& labels) {
+    std::vector<node> ids;
+    for (const node c : labels) {
+        if (c != none) ids.push_back(c);
+    }
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    std::vector<node> out = labels;
+    for (node& c : out) {
+        if (c == none) continue;
+        c = static_cast<node>(
+            std::lower_bound(ids.begin(), ids.end(), c) - ids.begin());
+    }
+    return out;
+}
+
+/// Compacts `p` and checks it against the reference: identical labels,
+/// k == upperBound(), and numberOfSubsets() == k before and after.
+void expectCompactionMatchesReference(Partition p) {
+    const std::vector<node> expected = sortedRankCompaction(p.vector());
+    const count before = p.numberOfSubsets();
+    const count k = p.compact();
+    EXPECT_EQ(p.vector(), expected);
+    EXPECT_EQ(k, static_cast<count>(p.upperBound()));
+    EXPECT_EQ(p.numberOfSubsets(), k);
+    EXPECT_EQ(before, k);
+}
+
+} // namespace
+
+TEST(Partition, CompactMatchesSortedReference) {
+    expectCompactionMatchesReference(Partition());
+    expectCompactionMatchesReference(Partition(17)); // all none
+    Partition dense(6); // already compact: must come back unchanged
+    for (node v = 0; v < 6; ++v) dense.set(v, v / 2);
+    dense.setUpperBound(3);
+    expectCompactionMatchesReference(dense);
+
+    std::mt19937_64 rng(7331);
+    for (int trial = 0; trial < 200; ++trial) {
+        SCOPED_TRACE(trial);
+        const count n = 1 + rng() % 300;
+        // Id spaces from dense (a few ids) to sparse (ids up to 50n).
+        const node idSpace = static_cast<node>(1 + rng() % (50 * n));
+        const auto bound = static_cast<node>(rng() % (idSpace + 1));
+        Partition p(n);
+        for (node v = 0; v < n; ++v) {
+            if (rng() % 8 == 0) continue; // stays none
+            p.set(v, static_cast<node>(rng() % idSpace));
+        }
+        // Ids >= upperBound() are accepted, not only those below it.
+        p.setUpperBound(bound);
+        expectCompactionMatchesReference(p);
+    }
 }
 
 TEST(Partition, SubsetSizesAndSubsets) {

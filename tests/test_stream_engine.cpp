@@ -13,6 +13,9 @@
 //     snapshot-isolation contract, checked from racing reader threads);
 //   - incremental PLM/PLP re-detection stays inside the quality envelope
 //     of from-scratch detection while re-activating only a local region;
+//   - single-threaded incremental PLM, which compacts once per batch,
+//     equals a replay that also compacts before the sweep, element for
+//     element, and its partition stays dense between batches;
 //   - batch by batch, both detectors follow insertions, deletions, node
 //     growth and reweights the way a cold run would.
 
@@ -662,6 +665,98 @@ TEST(StreamingDetect, PlmSingleThreadedRunsAreIdentical) {
     const std::vector<node> second = run();
     Parallel::setThreads(saved);
     EXPECT_EQ(first, second);
+}
+
+namespace {
+
+/// StreamingPlm::applyBatch with a compaction before and after the sweep,
+/// replayed through the public API: grow with fresh ids and compact,
+/// reserve the split-off range [k, k + bound), run the seeded move phase
+/// from the touched nodes that have a row, compact.
+void twoCompactionReplay(Partition& zeta, const CsrGraph& g,
+                         const std::vector<node>& touched,
+                         const StreamingPlmConfig& config) {
+    const count bound = g.upperNodeIdBound();
+    const count oldSize = zeta.numberOfElements();
+    if (bound > oldSize) {
+        Partition grown(bound);
+        node next = zeta.upperBound();
+        for (node v = 0; v < oldSize; ++v) grown.set(v, zeta[v]);
+        for (count v = oldSize; v < bound; ++v) {
+            grown.set(static_cast<node>(v), next++);
+        }
+        grown.setUpperBound(next);
+        zeta = std::move(grown);
+    }
+    const count k = zeta.compact();
+    zeta.setUpperBound(static_cast<node>(k + bound));
+
+    const std::vector<grapr::index>& offsets = g.offsets();
+    std::vector<node> frontier;
+    for (const node v : touched) {
+        if (v < bound && offsets[v] != offsets[v + 1]) frontier.push_back(v);
+    }
+    std::sort(frontier.begin(), frontier.end());
+    frontier.erase(std::unique(frontier.begin(), frontier.end()),
+                   frontier.end());
+    count evaluated = 0;
+    Plm::movePhaseSeeded(g, zeta, config.gamma, config.maxSweeps, frontier,
+                         static_cast<node>(k), &evaluated, config.minGain);
+    zeta.compact();
+}
+
+} // namespace
+
+TEST(StreamingDetect, PlmMatchesTwoCompactionReplaySingleThreaded) {
+    // One compaction per batch is exact only because the partition stays
+    // dense between batches; the replay pins that against the schedule
+    // that also compacted before the sweep.
+    const int saved = Parallel::maxThreads();
+    Parallel::setThreads(1);
+
+    Random::setSeed(740);
+    const count n = 600;
+    StreamingGraph engine(
+        PlantedPartitionGenerator(n, 12, 0.2, 0.004).generate());
+    StreamingPlm incremental;
+    Random::setSeed(741);
+    incremental.initialize(engine.pin()->graph);
+    Partition replay = incremental.communities();
+
+    StreamWorkloadConfig cfg;
+    cfg.nodes = n + 20; // inserts past the bound grow the graph
+    cfg.opsPerBatch = 80;
+    cfg.insertFraction = 0.5;
+    cfg.selfLoopFraction = 0.05;
+    cfg.seed = 742;
+    const StreamWorkload workload(cfg);
+    count removed = 0;
+    count selfLoops = 0;
+    for (std::uint64_t i = 0; i < 10; ++i) {
+        SCOPED_TRACE(i);
+        const EdgeBatch batch = workload.batch(i, engine.pin()->graph);
+        for (const EdgeOp& op : batch.ops()) {
+            if (op.kind == EdgeOp::Kind::Insert && op.u == op.v) ++selfLoops;
+        }
+        const BatchResult result =
+            engine.apply(batch, StreamApplyMode::Permissive);
+        removed += result.removed;
+        const SnapshotPtr snap = engine.pin();
+        incremental.applyBatch(snap->graph, result.touched);
+        twoCompactionReplay(replay, snap->graph, result.touched,
+                            StreamingPlmConfig{});
+
+        const Partition& zeta = incremental.communities();
+        EXPECT_EQ(zeta.vector(), replay.vector());
+        EXPECT_EQ(zeta.upperBound(), replay.upperBound());
+        EXPECT_EQ(static_cast<count>(zeta.upperBound()),
+                  zeta.numberOfSubsets());
+        if (HasFailure()) break; // later batches only repeat the diff
+    }
+    Parallel::setThreads(saved);
+    EXPECT_GT(engine.pin()->graph.upperNodeIdBound(), n);
+    EXPECT_GT(removed, 0u);
+    EXPECT_GT(selfLoops, 0u);
 }
 
 TEST(StreamingDetect, PlpUntouchedRegionsAreFixpoints) {

@@ -7,7 +7,8 @@ share (CI measures only the quick anchor, e.g. rmat_s13, while the
 committed file also records the full-size instances).
 
 Absolute times are not comparable across machines, but within-run RATIOS
-(``speedup_tuned_vs_baseline``, ``speedup_batch_vs_rebuild``) transfer:
+(``speedup_tuned_vs_baseline``, ``speedup_batch_vs_rebuild``,
+``speedup_incremental_vs_scratch``) transfer:
 two interleaved measurements on the same box divide out the machine. Gate
 those with a tight tolerance. Absolute rates (``updates_per_sec``) only
 get a loose floor that catches order-of-magnitude collapses.
@@ -25,7 +26,8 @@ the committed one, 1 otherwise.  Usage:
     micro_stream --quick                 # writes ./BENCH_stream.json
     python3 tools/check_perf_regression.py \
         --committed BENCH_stream.json --fresh build/bench/BENCH_stream.json \
-        --metric speedup_batch_vs_rebuild:0.5 --metric updates_per_sec:0.9
+        --metric speedup_batch_vs_rebuild:0.5 --metric updates_per_sec:0.9 \
+        --metric speedup_incremental_vs_scratch:0.5
 """
 
 import argparse
