@@ -1,6 +1,7 @@
 // Ablation (§III-B implementation notes) — the PLM engineering choices:
-//  * parallel per-thread partial coarsening vs the sequential hash
-//    aggregation it replaced ("a major sequential bottleneck"),
+//  * the parallel CSR coarsener vs the sequential hash aggregation it
+//    replaced ("a major sequential bottleneck"), both on the frozen
+//    layout PLM runs on,
 //  * the resolution parameter gamma's effect on community count, the
 //    paper's remedy for the resolution limit.
 //
@@ -62,16 +63,16 @@ int main() {
             subset.end()) {
             continue;
         }
-        const Graph g = loadReplica(spec);
+        const CsrGraph g(loadReplica(spec));
         // A realistic PLM level-one partition to coarsen by.
         Random::setSeed(61);
         Partition zeta(g.upperNodeIdBound());
         zeta.allToSingletons();
-        Plm::movePhase(CsrGraph(g), zeta, 1.0, 8, nullptr);
+        Plm::movePhase(g, zeta, 1.0, 8, nullptr);
 
         for (bool parallel : {true, false}) {
             Timer timer;
-            const CoarseningResult result =
+            const CsrCoarseningResult result =
                 ParallelPartitionCoarsening(parallel).run(g, zeta);
             std::printf("%-22s %-12s %12.4f\n", spec.name.c_str(),
                         parallel ? "parallel" : "sequential",

@@ -27,7 +27,7 @@ int main() {
     for (const auto& candidate : suite) {
         if (candidate.name == "PGPgiantcompo") spec = &candidate;
     }
-    const Graph g = loadReplica(*spec);
+    const CsrGraph g(loadReplica(*spec));
     std::printf("# instance: %s  n=%llu  m=%llu\n", spec->name.c_str(),
                 static_cast<unsigned long long>(g.numberOfNodes()),
                 static_cast<unsigned long long>(g.numberOfEdges()));
@@ -38,10 +38,10 @@ int main() {
     for (const char* name : {"PLP", "PLM", "PLMR", "EPP(4,PLP,PLM)"}) {
         Random::setSeed(11);
         auto detector = makeDetector(name);
-        Partition zeta = detector->run(g);
+        Partition zeta = detector->runFrozen(g);
         zeta.compact();
 
-        const CoarseningResult coarse =
+        const CsrCoarseningResult coarse =
             ParallelPartitionCoarsening().run(g, zeta);
         const CommunitySizeStats stats = communitySizeStats(zeta);
         const double q = Modularity().getQuality(zeta, g);
@@ -52,7 +52,8 @@ int main() {
         }
         const std::string dotPath =
             dataDirectory() + "/fig11_" + fileName + ".dot";
-        io::writeCommunityGraphDot(coarse.coarseGraph, zeta.subsetSizes(),
+        io::writeCommunityGraphDot(coarse.coarseGraph.toGraph(),
+                                   zeta.subsetSizes(),
                                    dotPath);
 
         std::printf("%-18s %14llu %12.0f %12llu %12.4f %14s\n", name,

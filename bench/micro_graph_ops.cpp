@@ -87,7 +87,7 @@ static void BM_GraphBuilderAssembly(benchmark::State& state) {
 BENCHMARK(BM_GraphBuilderAssembly);
 
 static void BM_CoarseningParallel(benchmark::State& state) {
-    const Graph& g = testGraph();
+    const CsrGraph g(testGraph());
     Random::setSeed(1002);
     Partition p(g.upperNodeIdBound());
     const count k = g.numberOfNodes() / 50;
@@ -96,7 +96,7 @@ static void BM_CoarseningParallel(benchmark::State& state) {
     }
     p.setUpperBound(static_cast<node>(k));
     for (auto _ : state) {
-        const CoarseningResult result =
+        const CsrCoarseningResult result =
             ParallelPartitionCoarsening(state.range(0) != 0).run(g, p);
         benchmark::DoNotOptimize(result.coarseGraph.numberOfEdges());
     }

@@ -19,20 +19,22 @@
 // without vertex following (plm_tuned_vf), since VF is a whole-run
 // reduction, not a move-phase switch.
 //
-// Timing statistic: minimum and median over kRepetitions with all
-// variants interleaved round-robin after one untimed warmup round, so a
-// slow phase of the machine penalizes every variant equally; speedups are
-// computed from minima (least-interference samples — this typically runs
-// on shared/virtualized hardware with double-digit run-to-run noise).
+// Timing statistic: minimum and median over kRepetitions (the anchor:
+// kAnchorRepetitions) with all variants interleaved round-robin after one
+// untimed warmup round, so a slow phase of the machine penalizes every
+// variant equally; speedups are computed from minima (least-interference
+// samples — this typically runs on shared/virtualized hardware with
+// double-digit run-to-run noise).
 //
 // Emits BENCH_plm.json so the perf trajectory is recorded PR over PR;
 // tools/check_perf_regression.py compares a fresh --quick run against the
 // committed file in CI (rmat_s13 is measured in BOTH modes for exactly
-// that reason — it is the shared anchor instance).
+// that reason — it is the shared anchor instance, measured on one thread
+// so its work is the same in every run).
 //
 // Environment/flags: --quick or GRAPR_BENCH_QUICK=1 shrinks the instance
-// list (CI smoke); GRAPR_BENCH_THREADS overrides the thread count
-// (default 4).
+// list (CI smoke); GRAPR_BENCH_THREADS overrides the thread count of the
+// full-size instances (default 4).
 
 #include <algorithm>
 #include <cstdlib>
@@ -61,6 +63,10 @@ using namespace grapr;
 namespace {
 
 constexpr int kRepetitions = 7;
+/// The anchor instance runs single-threaded and gets more rounds: its
+/// runs take milliseconds, so with few samples one slow phase of the
+/// machine decides the ratio.
+constexpr int kAnchorRepetitions = 31;
 /// Sweep cap, matching PlmConfig::maxMoveIterations — high enough that
 /// every variant reaches its own fixpoint on the bench instances.
 constexpr count kMoveIterations = 64;
@@ -81,12 +87,12 @@ Measurement toMeasurement(std::vector<double> samples) {
     return {samples.front(), samples[samples.size() / 2]};
 }
 
-/// One untimed warmup round, then kRepetitions rounds with the variants
+/// One untimed warmup round, then `repetitions` rounds with the variants
 /// back to back, so machine-load swings hit all of them alike.
-void measureInterleaved(std::vector<Variant>& variants) {
+void measureInterleaved(std::vector<Variant>& variants, int repetitions) {
     for (auto& v : variants) v.run();
     std::vector<std::vector<double>> samples(variants.size());
-    for (int rep = 0; rep < kRepetitions; ++rep) {
+    for (int rep = 0; rep < repetitions; ++rep) {
         for (std::size_t i = 0; i < variants.size(); ++i) {
             Timer t;
             variants[i].run();
@@ -103,6 +109,8 @@ struct InstanceReport {
     std::string recipe;
     count nodes = 0;
     count edges = 0;
+    int repetitions = kRepetitions;
+    int threads = 0;
     std::vector<Variant> movePhase;
     std::vector<Variant> fullRun;
     double modularityPlm = 0.0;
@@ -123,10 +131,13 @@ struct InstanceReport {
 };
 
 InstanceReport measureInstance(const std::string& name,
-                               const std::string& recipe, const Graph& g) {
+                               const std::string& recipe, const Graph& g,
+                               int repetitions = kRepetitions) {
     InstanceReport report;
     report.name = name;
     report.recipe = recipe;
+    report.repetitions = repetitions;
+    report.threads = Parallel::maxThreads();
     report.nodes = g.numberOfNodes();
     report.edges = g.numberOfEdges();
 
@@ -154,7 +165,7 @@ InstanceReport measureInstance(const std::string& name,
     report.movePhase.push_back({"baseline", referenceMove, {}});
     report.movePhase.push_back({"fullsweep", moveWith(fullSweep), {}});
     report.movePhase.push_back({"tuned", moveWith(PlmKernelConfig{}), {}});
-    measureInterleaved(report.movePhase);
+    measureInterleaved(report.movePhase, report.repetitions);
 
     // --- Full default detector with and without vertex following (both on
     // the default kernel, so the delta isolates the reduction itself).
@@ -174,7 +185,7 @@ InstanceReport measureInstance(const std::string& name,
                                   zetaVf = Plm(vf).runFrozen(csr);
                               },
                               {}});
-    measureInterleaved(report.fullRun);
+    measureInterleaved(report.fullRun, report.repetitions);
     report.modularityPlm = Modularity().getQuality(zetaPlm, csr);
     report.modularityVf = Modularity().getQuality(zetaVf, csr);
 
@@ -199,8 +210,8 @@ void writeJson(const std::vector<InstanceReport>& reports, int threads,
     std::ostringstream json;
     json << "{\n";
     json << "  \"bench\": \"micro_plm_kernels\",\n";
+    json << "  \"host\": " << bench::hostJson() << ",\n";
     json << "  \"threads\": " << threads << ",\n";
-    json << "  \"repetitions\": " << kRepetitions << ",\n";
     json << "  \"move_iterations\": " << kMoveIterations << ",\n";
     json << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
     json << "  \"speedup_definition\": "
@@ -213,6 +224,8 @@ void writeJson(const std::vector<InstanceReport>& reports, int threads,
         json << "      \"recipe\": \"" << rep.recipe << "\",\n";
         json << "      \"nodes\": " << rep.nodes << ",\n";
         json << "      \"edges\": " << rep.edges << ",\n";
+        json << "      \"threads\": " << rep.threads << ",\n";
+        json << "      \"repetitions\": " << rep.repetitions << ",\n";
         emitVariants(json, "move_phase", rep.movePhase, true);
         emitVariants(json, "full_run", rep.fullRun, true);
         json << "      \"modularity\": {\"plm_tuned\": " << rep.modularityPlm
@@ -249,13 +262,20 @@ int main(int argc, char** argv) {
 
     // rmat_s13 is measured in BOTH quick and full mode: it is the anchor
     // instance the CI perf-smoke regression check compares across the
-    // committed (full) and freshly measured (quick) JSON.
+    // committed (full) and freshly measured (quick) JSON. It runs on one
+    // thread. With more, the stale-read move phase does a different amount
+    // of work in every run: on a 4-core host the ratio spread 0.84-1.36
+    // over 8 quick runs at 4 threads even with 31 rounds, and 1.53-1.57 at
+    // one thread, where the work is fixed.
     std::vector<InstanceReport> reports;
     {
+        Parallel::setThreads(1);
         Random::setSeed(6013);
         const Graph g = RmatGenerator(13, 8).generate();
         reports.push_back(measureInstance(
-            "rmat_s13", "RMAT scale 13, edge factor 8", g));
+            "rmat_s13", "RMAT scale 13, edge factor 8, one thread", g,
+            kAnchorRepetitions));
+        Parallel::setThreads(threads);
     }
     if (!quick) {
         {

@@ -36,14 +36,17 @@ int main() {
     std::printf("\n=== 3. the speed/quality menu ===\n");
     std::printf("%-18s %12s %12s %14s\n", "algorithm", "time", "modularity",
                 "#communities");
+    // Freeze once: every detector and the community-graph export below
+    // read the same CSR snapshot.
+    const CsrGraph frozen(g);
     Partition best(g.upperNodeIdBound());
     double bestQuality = -1.0;
     for (const char* name : {"PLP", "EPP(4,PLP,PLM)", "PLM", "PLMR"}) {
         auto detector = makeDetector(name);
         Timer timer;
-        Partition zeta = detector->run(g);
+        Partition zeta = detector->runFrozen(frozen);
         const double seconds = timer.elapsed();
-        const double quality = Modularity().getQuality(zeta, g);
+        const double quality = Modularity().getQuality(zeta, frozen);
         std::printf("%-18s %12s %12.4f %14llu\n", name,
                     formatDuration(seconds).c_str(), quality,
                     static_cast<unsigned long long>(zeta.numberOfSubsets()));
@@ -67,8 +70,9 @@ int main() {
                     (cut.intraWeight + cut.interWeight));
 
     std::printf("\n=== 5. export the community graph ===\n");
-    const CoarseningResult coarse = ParallelPartitionCoarsening().run(g, best);
-    io::writeCommunityGraphDot(coarse.coarseGraph, best.subsetSizes(),
+    const CsrCoarseningResult coarse =
+        ParallelPartitionCoarsening().run(frozen, best);
+    io::writeCommunityGraphDot(coarse.coarseGraph.toGraph(), best.subsetSizes(),
                                "social_communities.dot");
     std::printf("community graph (%llu nodes) -> social_communities.dot\n",
                 static_cast<unsigned long long>(

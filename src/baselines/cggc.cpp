@@ -18,18 +18,18 @@ DetectorMaker rgMaker(double gamma) {
 Cggc::Cggc(count ensembleSize, double gamma)
     : ensembleSize_(ensembleSize), gamma_(gamma) {}
 
-Partition Cggc::run(const Graph& g) {
+Partition Cggc::runFrozen(const CsrGraph& g) {
     Epp scheme(ensembleSize_, rgMaker(gamma_), rgMaker(gamma_), "CGGC");
-    return scheme.run(g);
+    return scheme.runFrozen(g);
 }
 
 CggcIterated::CggcIterated(count ensembleSize, double gamma)
     : ensembleSize_(ensembleSize), gamma_(gamma) {}
 
-Partition CggcIterated::run(const Graph& g) {
+Partition CggcIterated::runFrozen(const CsrGraph& g) {
     EppIterated scheme(ensembleSize_, rgMaker(gamma_), rgMaker(gamma_),
                        /*minImprovement=*/1e-4, /*maxLevels=*/16, "CGGCi");
-    return scheme.run(g);
+    return scheme.runFrozen(g);
 }
 
 } // namespace grapr

@@ -15,7 +15,7 @@ class Cggc final : public CommunityDetector {
 public:
     explicit Cggc(count ensembleSize = 4, double gamma = 1.0);
 
-    Partition run(const Graph& g) override;
+    Partition runFrozen(const CsrGraph& g) override;
 
     std::string toString() const override { return "CGGC"; }
 
@@ -28,7 +28,7 @@ class CggcIterated final : public CommunityDetector {
 public:
     explicit CggcIterated(count ensembleSize = 4, double gamma = 1.0);
 
-    Partition run(const Graph& g) override;
+    Partition runFrozen(const CsrGraph& g) override;
 
     std::string toString() const override { return "CGGCi"; }
 

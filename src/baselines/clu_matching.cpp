@@ -9,12 +9,12 @@
 
 namespace grapr {
 
-Partition MatchingAgglomeration::run(const Graph& g) {
+Partition MatchingAgglomeration::runFrozen(const CsrGraph& g) {
     // The hierarchy of contractions: maps[i] is the fine-to-coarse map of
     // round i. The final solution is the identity on the coarsest graph
     // projected back through the stack.
     std::vector<std::vector<node>> hierarchy;
-    Graph current = g.isWeighted() ? g : g.toWeighted();
+    CsrGraph current = g; // unweighted rows read as weight 1.0
 
     for (count round = 0; round < maxRounds_; ++round) {
         const count bound = current.upperNodeIdBound();
@@ -32,8 +32,8 @@ Partition MatchingAgglomeration::run(const Graph& g) {
         // point at its smallest-id neighbor. Each tied neighbor v gets a
         // key hashed from v and a salt drawn from the stream of (round, u);
         // the smallest key wins. Neither the scoring thread nor the
-        // neighbor order (which the parallel coarsening does not fix)
-        // enters, so the matching is the same for every thread count.
+        // neighbor order enters, so the matching is the same for every
+        // thread count.
         std::vector<node> candidate(bound, none);
         current.balancedParallelForNodes([&](node u) {
             const std::uint64_t salt = Random::forStream((round << 32) | u)();
@@ -97,7 +97,7 @@ Partition MatchingAgglomeration::run(const Graph& g) {
         current.forNodes([&](node u) { groups.set(u, groupSets.find(u)); });
 
         ParallelPartitionCoarsening coarsener(true);
-        CoarseningResult coarse = coarsener.run(current, groups);
+        CsrCoarseningResult coarse = coarsener.run(current, groups);
         if (coarse.coarseGraph.numberOfNodes() >= current.numberOfNodes()) {
             break;
         }

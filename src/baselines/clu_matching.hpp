@@ -28,7 +28,7 @@ public:
         : starAdaptation_(starAdaptation), gamma_(gamma),
           maxRounds_(maxRounds) {}
 
-    Partition run(const Graph& g) override;
+    Partition runFrozen(const CsrGraph& g) override;
 
     std::string toString() const override {
         return starAdaptation_ ? "CLU_TBB-like" : "CEL-like";

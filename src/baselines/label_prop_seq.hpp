@@ -16,7 +16,7 @@ public:
     explicit LabelPropSeq(count maxIterations = 1000)
         : maxIterations_(maxIterations) {}
 
-    Partition run(const Graph& g) override;
+    Partition runFrozen(const CsrGraph& g) override;
 
     std::string toString() const override { return "LabelPropagation(seq)"; }
 

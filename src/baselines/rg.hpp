@@ -22,7 +22,7 @@ public:
     explicit RandomizedGreedy(double gamma = 1.0, count sampleSize = 4)
         : gamma_(gamma), sampleSize_(sampleSize) {}
 
-    Partition run(const Graph& g) override;
+    Partition runFrozen(const CsrGraph& g) override;
 
     std::string toString() const override { return "RG"; }
 

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_map>
+#include <cstdint>
+#include <utility>
 
-#include <omp.h>
-
-#include "graph/graph_builder.hpp"
 #include "support/parallel.hpp"
 
 namespace grapr {
@@ -14,9 +12,7 @@ namespace grapr {
 namespace {
 
 /// Deterministic compaction: coarse ids ordered by ascending community id.
-/// Generic over the graph layout (mutable adjacency lists or frozen CSR).
-template <typename GraphT>
-std::pair<std::vector<node>, count> compactMap(const GraphT& g,
+std::pair<std::vector<node>, count> compactMap(const CsrGraph& g,
                                                const Partition& zeta) {
     const count idBound = zeta.upperBound();
     require(idBound > 0, "coarsening: partition upper bound is zero");
@@ -36,99 +32,12 @@ std::pair<std::vector<node>, count> compactMap(const GraphT& g,
     return {std::move(fineToCoarse), next};
 }
 
-} // namespace
-
-CoarseningResult ParallelPartitionCoarsening::run(const Graph& g,
-                                                  const Partition& zeta) const {
-    auto [fineToCoarse, coarseNodes] = compactMap(g, zeta);
-    return parallel_ ? runParallel(g, fineToCoarse, coarseNodes)
-                     : runSequential(g, fineToCoarse, coarseNodes);
-}
-
-CoarseningResult ParallelPartitionCoarsening::runSequential(
-    const Graph& g, const std::vector<node>& fineToCoarse,
-    count coarseNodes) const {
-    // One hash aggregation over all edges — the pre-parallelization scheme
-    // kept for the ablation study.
-    std::unordered_map<std::uint64_t, double> agg;
-    agg.reserve(g.numberOfEdges() / 4 + 16);
-    g.forEdges([&](node u, node v, edgeweight w) {
-        node cu = fineToCoarse[u];
-        node cv = fineToCoarse[v];
-        if (cu > cv) std::swap(cu, cv);
-        agg[(static_cast<std::uint64_t>(cu) << 32) | cv] += w;
-    });
-
-    CoarseningResult result;
-    result.coarseGraph = Graph(coarseNodes, true);
-    for (const auto& [key, w] : agg) {
-        const auto cu = static_cast<node>(key >> 32);
-        const auto cv = static_cast<node>(key & 0xffffffffULL);
-        result.coarseGraph.addEdge(cu, cv, w);
-    }
-    result.fineToCoarse = fineToCoarse;
-    return result;
-}
-
-CoarseningResult ParallelPartitionCoarsening::runParallel(
-    const Graph& g, const std::vector<node>& fineToCoarse,
-    count coarseNodes) const {
-    // Phase 1 (paper §III-B): each thread scans a slice of the fine edges
-    // and aggregates them in a thread-private hash map — its partial coarse
-    // graph G'_t.
-    const int threads = omp_get_max_threads();
-    std::vector<std::unordered_map<std::uint64_t, double>> partial(
-        static_cast<std::size_t>(threads));
-
-    const auto bound = static_cast<std::int64_t>(g.upperNodeIdBound());
-#pragma omp parallel default(none) shared(g, partial, fineToCoarse, bound)
-    {
-        auto& local = partial[static_cast<std::size_t>(omp_get_thread_num())];
-        local.reserve(1024);
-#pragma omp for schedule(guided)
-        for (std::int64_t su = 0; su < bound; ++su) {
-            const node u = static_cast<node>(su);
-            if (!g.hasNode(u)) continue;
-            g.forNeighborsOf(u, [&](node v, edgeweight w) {
-                if (v < u) return; // each fine edge from one endpoint only
-                node cu = fineToCoarse[u];
-                node cv = fineToCoarse[v];
-                if (cu > cv) std::swap(cu, cv);
-                local[(static_cast<std::uint64_t>(cu) << 32) | cv] += w;
-            });
-        }
-    }
-
-    // Phase 2: merge the partial graphs. Emitting each partial adjacency as
-    // an edge triple and letting GraphBuilder deduplicate with weight
-    // summation performs exactly the per-coarse-node merge, with the
-    // scatter phase parallel.
-    GraphBuilder builder(coarseNodes, true);
-    // Worksharing over the partial maps, NOT one map per team member: the
-    // num_threads clause the old code relied on is only a request — with
-    // dynamic thread adjustment a smaller team would silently skip the
-    // unvisited partial maps, dropping coarse edges.
-    const auto nparts = static_cast<std::int64_t>(partial.size());
-#pragma omp parallel for default(none) shared(builder, partial, nparts)      \
-    schedule(static)
-    for (std::int64_t t = 0; t < nparts; ++t) {
-        const auto& local = partial[static_cast<std::size_t>(t)];
-        for (const auto& [key, w] : local) {
-            builder.addEdge(static_cast<node>(key >> 32),
-                            static_cast<node>(key & 0xffffffffULL), w);
-        }
-    }
-
-    CoarseningResult result;
-    result.coarseGraph = builder.build(/*dedup=*/true, /*sumWeights=*/true);
-    result.fineToCoarse = fineToCoarse;
-    return result;
-}
-
-CsrCoarseningResult ParallelPartitionCoarsening::run(
-    const CsrGraph& g, const Partition& zeta) const {
-    auto [fineToCoarse, coarseNodes] = compactMap(g, zeta);
-
+/// Parallel strategy. Bucket the fine nodes by coarse id, aggregate each
+/// bucket's rows in a per-thread scratch accumulator, and write the sorted
+/// coarse rows straight into CSR arrays laid out by a prefix sum.
+CsrGraph aggregateParallel(const CsrGraph& g,
+                           const std::vector<node>& fineToCoarse,
+                           count coarseNodes) {
     // Bucket the fine nodes by coarse id: counting sort with a prefix sum
     // over the community sizes, then a parallel scatter. Buckets are
     // sorted ascending afterwards so the aggregation order below — and
@@ -156,7 +65,7 @@ CsrCoarseningResult ParallelPartitionCoarsening::run(
     };
     const auto scn = static_cast<std::int64_t>(coarseNodes);
 #pragma omp parallel for default(none)                                       \
-    shared(members, rowStart, bucketEnd, scn) schedule(guided) if (parallel_)
+    shared(members, rowStart, bucketEnd, scn) schedule(guided)
     for (std::int64_t c = 0; c < scn; ++c) {
         const auto cc = static_cast<count>(c);
         std::sort(members.begin() + static_cast<std::ptrdiff_t>(rowStart[cc]),
@@ -184,8 +93,7 @@ CsrCoarseningResult ParallelPartitionCoarsening::run(
     // Pass 1: coarse row lengths -> prefix sum -> CSR offsets.
     std::vector<count> rowLength(coarseNodes, 0);
 #pragma omp parallel for default(none)                                       \
-    shared(scratch, aggregate, rowLength, scn) schedule(guided)              \
-        if (parallel_)
+    shared(scratch, aggregate, rowLength, scn) schedule(guided)
     for (std::int64_t c = 0; c < scn; ++c) {
         SparseAccumulator& acc = scratch.local();
         aggregate(static_cast<count>(c), acc);
@@ -205,7 +113,7 @@ CsrCoarseningResult ParallelPartitionCoarsening::run(
     std::vector<edgeweight> weights(entries);
 #pragma omp parallel for default(none)                                       \
     shared(scratch, aggregate, offsets, neighbors, weights, scn)             \
-    schedule(guided) if (parallel_)
+    schedule(guided)
     for (std::int64_t c = 0; c < scn; ++c) {
         const auto cc = static_cast<count>(c);
         SparseAccumulator& acc = scratch.local();
@@ -219,12 +127,78 @@ CsrCoarseningResult ParallelPartitionCoarsening::run(
             ++slot;
         }
     }
+    return CsrGraph(std::move(offsets), std::move(neighbors),
+                    std::move(weights), /*weighted=*/true);
+}
 
-    CsrCoarseningResult result;
-    result.coarseGraph = CsrGraph(std::move(offsets), std::move(neighbors),
-                                  std::move(weights), /*weighted=*/true);
-    result.fineToCoarse = std::move(fineToCoarse);
-    return result;
+/// Sequential strategy: one hash-aggregation sweep over the fine edges,
+/// keyed by the packed (lower, higher) coarse id pair in an open-addressing
+/// table sized so every fine edge could be its own coarse edge at half
+/// load. The distinct coarse edges are then scattered into both endpoint
+/// rows in key order, which visits row r's lower neighbors (keys (y, r),
+/// y < r) before its own keys (r, x), each ascending: rows come out sorted.
+CsrGraph aggregateSequential(const CsrGraph& g,
+                             const std::vector<node>& fineToCoarse,
+                             count coarseNodes) {
+    constexpr std::uint64_t kEmpty = ~std::uint64_t{0}; // coarse ids < none
+    int bits = 1;
+    while ((std::size_t{1} << bits) < 2 * g.numberOfEdges() + 2) ++bits;
+    std::vector<std::uint64_t> keys(std::size_t{1} << bits, kEmpty);
+    std::vector<edgeweight> sums(keys.size(), 0.0);
+    g.forEdges([&](node u, node v, edgeweight w) {
+        const node cu = std::min(fineToCoarse[u], fineToCoarse[v]);
+        const node cv = std::max(fineToCoarse[u], fineToCoarse[v]);
+        const std::uint64_t key = (static_cast<std::uint64_t>(cu) << 32) | cv;
+        auto slot = static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >>
+                                             (64 - bits));
+        while (keys[slot] != kEmpty && keys[slot] != key) {
+            slot = (slot + 1) & (keys.size() - 1);
+        }
+        keys[slot] = key;
+        sums[slot] += w;
+    });
+    std::vector<std::pair<std::uint64_t, edgeweight>> entries;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        if (keys[i] != kEmpty) entries.emplace_back(keys[i], sums[i]);
+    }
+    std::sort(entries.begin(), entries.end());
+
+    auto unpack = [](std::uint64_t key) {
+        return std::pair<node, node>(static_cast<node>(key >> 32),
+                                     static_cast<node>(key & 0xffffffffULL));
+    };
+    std::vector<index> offsets(coarseNodes + 1, 0);
+    for (const auto& entry : entries) {
+        const auto [cu, cv] = unpack(entry.first);
+        ++offsets[cu + 1];
+        if (cu != cv) ++offsets[cv + 1];
+    }
+    for (count c = 0; c < coarseNodes; ++c) offsets[c + 1] += offsets[c];
+    std::vector<node> neighbors(offsets[coarseNodes]);
+    std::vector<edgeweight> weights(offsets[coarseNodes]);
+    std::vector<index> cursor(offsets.begin(), offsets.end() - 1);
+    auto append = [&](node row, node neighbor, edgeweight w) {
+        neighbors[cursor[row]] = neighbor;
+        weights[cursor[row]++] = w;
+    };
+    for (const auto& [key, w] : entries) {
+        const auto [cu, cv] = unpack(key);
+        append(cu, cv, w);
+        if (cu != cv) append(cv, cu, w);
+    }
+    return CsrGraph(std::move(offsets), std::move(neighbors),
+                    std::move(weights), /*weighted=*/true);
+}
+
+} // namespace
+
+CsrCoarseningResult ParallelPartitionCoarsening::run(
+    const CsrGraph& g, const Partition& zeta) const {
+    auto [fineToCoarse, coarseNodes] = compactMap(g, zeta);
+    CsrGraph coarse =
+        parallel_ ? aggregateParallel(g, fineToCoarse, coarseNodes)
+                  : aggregateSequential(g, fineToCoarse, coarseNodes);
+    return {std::move(coarse), std::move(fineToCoarse)};
 }
 
 } // namespace grapr

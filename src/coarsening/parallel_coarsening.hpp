@@ -4,32 +4,29 @@
 // carries the summed weight of inter-community edges, a self-loop the
 // summed weight of intra-community edges.
 //
-// Two strategies, selectable for the ablation bench:
-//  * Sequential: one hash-aggregation sweep over the edges. The "major
-//    sequential bottleneck" of early PLM versions.
-//  * Parallel (the paper's scheme): each thread scans a slice of the nodes
-//    and aggregates its edges into a thread-private partial coarse graph;
-//    the partial adjacencies are then merged per coarse node in parallel.
+// Both strategies read a frozen CsrGraph and build the coarse graph
+// directly in CSR form, rows sorted by neighbor id, so a multi-level
+// algorithm stays in the frozen layout across all levels and the coarse
+// graph is the same for every thread count. They are the two arms of the
+// paper's coarsening ablation:
+//  * Parallel (`parallel = true`, the paper's scheme and what PLM, EPP and
+//    CEL run): fine nodes are bucketed by coarse id with a counting sort,
+//    then one thread per coarse node aggregates its members' rows in a
+//    scratch accumulator and writes the coarse row into its CSR slice.
+//  * Sequential (`parallel = false`): one hash-aggregation sweep over the
+//    fine edges — the "major sequential bottleneck" of early PLM
+//    versions. It shares nothing with the parallel kernel past the id
+//    compaction, which makes it the reference the tests hold the parallel
+//    kernel to.
 
-#include <utility>
 #include <vector>
 
 #include "graph/csr_graph.hpp"
-#include "graph/graph.hpp"
 #include "structures/partition.hpp"
 
 namespace grapr {
 
-struct CoarseningResult {
-    Graph coarseGraph{0, true};
-    /// π: fine node id -> coarse node id.
-    std::vector<node> fineToCoarse;
-};
-
-/// Result of coarsening a frozen graph: the coarse graph is built directly
-/// in CSR form (prefix sums over per-coarse-node degrees, no intermediate
-/// mutable Graph), so a multi-level algorithm stays in the frozen layout
-/// across all levels and converts back only at its API boundary.
+/// Result of coarsening a frozen graph: a frozen, weighted coarse graph.
 struct CsrCoarseningResult {
     CsrGraph coarseGraph;
     /// π: fine node id -> coarse node id.
@@ -42,29 +39,13 @@ public:
         : parallel_(parallel) {}
 
     /// Coarsen g according to zeta. zeta need not be compacted; community
-    /// ids are compacted into coarse node ids (ascending-id order, so the
-    /// result is deterministic regardless of thread count).
-    CoarseningResult run(const Graph& g, const Partition& zeta) const;
-
-    /// CSR fast path: coarsen a frozen graph into a frozen (weighted)
-    /// coarse graph. Fine nodes are bucketed by coarse id with a counting
-    /// sort (prefix sums), then one thread per coarse node aggregates its
-    /// members' neighborhoods in a scratch accumulator; coarse adjacency
-    /// rows are written straight into the CSR arrays through a second
-    /// prefix sum over the row lengths. Rows come out sorted by neighbor
-    /// id, so the coarse graph is canonical and deterministic for a fixed
-    /// partition regardless of thread count.
+    /// ids are compacted into coarse node ids in ascending-id order. The
+    /// coarse graph is canonical (sorted rows): a function of g and zeta
+    /// only, whatever the strategy's thread count.
     CsrCoarseningResult run(const CsrGraph& g, const Partition& zeta) const;
 
 private:
     bool parallel_;
-
-    CoarseningResult runSequential(const Graph& g,
-                                   const std::vector<node>& fineToCoarse,
-                                   count coarseNodes) const;
-    CoarseningResult runParallel(const Graph& g,
-                                 const std::vector<node>& fineToCoarse,
-                                 count coarseNodes) const;
 };
 
 } // namespace grapr

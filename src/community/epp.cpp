@@ -15,7 +15,7 @@ Epp::Epp(count ensembleSize, DetectorMaker makeBase, DetectorMaker makeFinal,
     require(ensembleSize >= 1, "EPP: ensemble size must be >= 1");
 }
 
-Partition Epp::run(const Graph& g) {
+Partition Epp::runFrozen(const CsrGraph& g) {
     // Base phase. The paper launches the b base instances concurrently
     // ("massive nested parallelism"); here each base algorithm is itself
     // fully parallel, so running them back-to-back performs the same work
@@ -26,7 +26,7 @@ Partition Epp::run(const Graph& g) {
     baseSolutions.reserve(ensembleSize_);
     for (count i = 0; i < ensembleSize_; ++i) {
         auto base = makeBase_();
-        baseSolutions.push_back(base->run(g));
+        baseSolutions.push_back(base->runFrozen(g));
     }
 
     // Consensus: core communities via the b-way hash (Eq. III.2).
@@ -35,11 +35,12 @@ Partition Epp::run(const Graph& g) {
     // Coarsen by the cores — contested regions stay fine-grained, agreed
     // regions collapse.
     ParallelPartitionCoarsening coarsener(true);
-    CoarseningResult coarse = coarsener.run(g, cores);
+    CsrCoarseningResult coarse = coarsener.run(g, cores);
 
     // Final phase on the much smaller graph, then prolongation.
     auto finalDetector = makeFinal_();
-    const Partition coarseSolution = finalDetector->run(coarse.coarseGraph);
+    const Partition coarseSolution =
+        finalDetector->runFrozen(coarse.coarseGraph);
     Partition zeta =
         ClusteringProjector::projectBack(coarseSolution, coarse.fineToCoarse);
     zeta.compact();
@@ -57,11 +58,11 @@ EppIterated::EppIterated(count ensembleSize, DetectorMaker makeBase,
     require(ensembleSize >= 1, "EPPIterated: ensemble size must be >= 1");
 }
 
-Partition EppIterated::run(const Graph& g) {
+Partition EppIterated::runFrozen(const CsrGraph& g) {
     const Modularity modularity;
     ParallelPartitionCoarsening coarsener(true);
 
-    Graph current = g; // working copy; coarsens level by level
+    CsrGraph current = g; // working copy; coarsens level by level
     std::vector<std::vector<node>> hierarchy;
     double lastQuality = -1.0;
 
@@ -70,7 +71,7 @@ Partition EppIterated::run(const Graph& g) {
         baseSolutions.reserve(ensembleSize_);
         for (count i = 0; i < ensembleSize_; ++i) {
             auto base = makeBase_();
-            baseSolutions.push_back(base->run(current));
+            baseSolutions.push_back(base->runFrozen(current));
         }
         Partition cores = HashingCombiner::combine(baseSolutions);
 
@@ -85,7 +86,7 @@ Partition EppIterated::run(const Graph& g) {
         if (quality <= lastQuality + minImprovement_) break;
         lastQuality = quality;
 
-        CoarseningResult coarse = coarsener.run(current, cores);
+        CsrCoarseningResult coarse = coarsener.run(current, cores);
         if (coarse.coarseGraph.numberOfNodes() >= current.numberOfNodes()) {
             break; // no contraction; iterating further cannot help
         }
@@ -94,7 +95,7 @@ Partition EppIterated::run(const Graph& g) {
     }
 
     auto finalDetector = makeFinal_();
-    Partition solution = finalDetector->run(current);
+    Partition solution = finalDetector->runFrozen(current);
     solution = ClusteringProjector::projectThroughHierarchy(solution,
                                                             hierarchy);
     solution.compact();

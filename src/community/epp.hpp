@@ -28,7 +28,7 @@ public:
     Epp(count ensembleSize, DetectorMaker makeBase, DetectorMaker makeFinal,
         std::string name = "EPP");
 
-    Partition run(const Graph& g) override;
+    Partition runFrozen(const CsrGraph& g) override;
 
     std::string toString() const override;
 
@@ -47,7 +47,7 @@ public:
                 DetectorMaker makeFinal, double minImprovement = 1e-4,
                 count maxLevels = 16, std::string name = "EPPIterated");
 
-    Partition run(const Graph& g) override;
+    Partition runFrozen(const CsrGraph& g) override;
 
     std::string toString() const override;
 

@@ -745,8 +745,6 @@ Partition Plm::detectFrozen(const CsrGraph& g) {
     return runRecursive(g, 0);
 }
 
-Partition Plm::run(const Graph& g) { return runFrozen(CsrGraph(g)); }
-
 Partition Plm::runFrozen(const CsrGraph& g) {
     levels_.clear();
     Partition zeta = detectFrozen(g);

@@ -100,14 +100,9 @@ class Plm : public CommunityDetector {
 public:
     explicit Plm(PlmConfig config = {}) : config_(config) {}
 
-    /// Freezes g into a CsrGraph once and runs on the frozen layout, which
-    /// every level, coarsening step and refinement then stays in.
-    Partition run(const Graph& g) override;
-
-    /// Run on an already-frozen graph (no freeze cost, no conversion):
-    /// the entry point for callers that hold a CsrGraph anyway, e.g. the
-    /// streaming detectors and the benchmarks.
-    Partition runFrozen(const CsrGraph& g);
+    /// Every level, coarsening step and refinement stays in the frozen
+    /// layout of g.
+    Partition runFrozen(const CsrGraph& g) override;
 
     std::string toString() const override;
 

@@ -11,8 +11,6 @@
 
 namespace grapr {
 
-Partition Plp::run(const Graph& g) { return runFrozen(CsrGraph(g)); }
-
 Partition Plp::runFrozen(const CsrGraph& g) {
     if (config_.vertexFollowing) {
         const VertexFollowingReduction reduction = VertexFollowing::reduce(g);

@@ -65,12 +65,7 @@ class Plp final : public CommunityDetector {
 public:
     explicit Plp(PlpConfig config = {}) : config_(config) {}
 
-    /// Freezes g into a CsrGraph before iterating: the O(m) freeze is
-    /// amortized over tens of label sweeps that then stream flat arrays.
-    Partition run(const Graph& g) override;
-
-    /// Run on an already-frozen graph (no freeze cost, no conversion).
-    Partition runFrozen(const CsrGraph& g);
+    Partition runFrozen(const CsrGraph& g) override;
 
     std::string toString() const override;
 

@@ -17,7 +17,8 @@
 // and the labels are prolonged back through the standard projector, so
 // every follower lands exactly in its anchor's community by construction.
 //
-// The reduction reuses ParallelPartitionCoarsening: followers and anchors
+// The reduction reuses the parallel CSR-to-CSR coarsener
+// (ParallelPartitionCoarsening, parallel = true): followers and anchors
 // form the blocks of a partition, and contracting the graph by it yields
 // the reduced CsrGraph with collapsed edges folded into self-loops — i.e.
 // node volumes (and hence modularity arithmetic) are preserved exactly.

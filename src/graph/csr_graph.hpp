@@ -17,13 +17,13 @@
 // scan into an O(1) read inside the move phase. The iteration interface
 // mirrors Graph (forNeighborsOf, parallelForNodes,
 // balancedParallelForNodes, forEdges, parallelForEdges, ...) so kernels
-// that serve both layouts (modularity, coverage, the coarsening's id
-// compaction) are written once, generic over the layout. PLM and PLP run
-// on CsrGraph only.
+// that serve both layouts (modularity, coverage) are written once, generic
+// over the layout. Every community detector and the coarsener run on
+// CsrGraph only.
 //
 // Adjacency order is preserved exactly by the freezing constructor, which
-// makes single-threaded quality scores and coarse graphs bit-identical
-// between the two layouts (asserted by tests/test_csr.cpp).
+// makes single-threaded quality scores bit-identical between the two
+// layouts (asserted by tests/test_csr.cpp).
 
 #include <cstdint>
 #include <utility>

@@ -208,6 +208,24 @@ TEST(Registry, OursPlusCompetitorsCoverAll) {
     }
 }
 
+TEST(Registry, RunMatchesRunFrozen) {
+    // run(const Graph&) is a freeze in front of runFrozen: with a fixed
+    // seed at one thread both entry points give the same partition.
+    const int restoreThreads = Parallel::maxThreads();
+    Parallel::setThreads(1);
+    Random::setSeed(124);
+    const Graph g = PlantedPartitionGenerator(500, 10, 0.2, 0.01).generate();
+    const CsrGraph csr(g);
+    for (const char* name : {"LabelPropagation", "RG", "CEL"}) {
+        Random::setSeed(125);
+        const Partition viaGraph = makeDetector(name)->run(g);
+        Random::setSeed(125);
+        const Partition viaCsr = makeDetector(name)->runFrozen(csr);
+        EXPECT_EQ(viaGraph.vector(), viaCsr.vector()) << name;
+    }
+    Parallel::setThreads(restoreThreads);
+}
+
 TEST(Registry, EveryDetectorSolvesSmokeGraph) {
     Graph g = SimpleGraphs::cliqueChain(4, 6);
     const Partition truth = SimpleGraphs::cliqueChainTruth(4, 6);

@@ -1,5 +1,6 @@
 // Coarsening and prolongation: weight conservation, structural shape,
-// parallel == sequential, projection identities.
+// parallel == sequential, thread-count independence, projection
+// identities.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include "generators/planted_partition.hpp"
 #include "generators/simple_graphs.hpp"
 #include "quality/modularity.hpp"
+#include "support/parallel.hpp"
 #include "support/random.hpp"
 
 using namespace grapr;
@@ -39,8 +41,9 @@ TEST(Coarsening, TwoTrianglesToTwoNodes) {
     for (node v = 0; v < 6; ++v) p.set(v, v < 3 ? 0 : 1);
     p.setUpperBound(2);
 
-    const CoarseningResult result = ParallelPartitionCoarsening().run(g, p);
-    const Graph& coarse = result.coarseGraph;
+    const CsrCoarseningResult result =
+        ParallelPartitionCoarsening().run(CsrGraph(g), p);
+    const Graph coarse = result.coarseGraph.toGraph();
     EXPECT_EQ(coarse.numberOfNodes(), 2u);
     EXPECT_EQ(coarse.numberOfEdges(), 3u); // 2 loops + 1 edge
     EXPECT_DOUBLE_EQ(coarse.weight(0, 0), 3.0);
@@ -53,7 +56,8 @@ TEST(Coarsening, PreservesTotalEdgeWeight) {
     Random::setSeed(70);
     Graph g = ErdosRenyiGenerator(500, 0.02).generate();
     const Partition p = evenOddPartition(g.upperNodeIdBound());
-    const CoarseningResult result = ParallelPartitionCoarsening().run(g, p);
+    const CsrCoarseningResult result =
+        ParallelPartitionCoarsening().run(CsrGraph(g), p);
     EXPECT_NEAR(result.coarseGraph.totalEdgeWeight(), g.totalEdgeWeight(),
                 1e-9);
 }
@@ -65,7 +69,8 @@ TEST(Coarsening, PreservesCommunityVolumes) {
     for (node v = 0; v < p.numberOfElements(); ++v) p.set(v, v % 7);
     p.setUpperBound(7);
 
-    const CoarseningResult result = ParallelPartitionCoarsening().run(g, p);
+    const CsrCoarseningResult result =
+        ParallelPartitionCoarsening().run(CsrGraph(g), p);
     // Volume of coarse node c == summed volume of its fine community.
     std::vector<double> fineVolume(7, 0.0);
     g.forNodes([&](node v) { fineVolume[p[v]] += g.volume(v); });
@@ -84,13 +89,55 @@ TEST(Coarsening, SequentialMatchesParallel) {
     }
     p.setUpperBound(40);
 
-    const CoarseningResult parallel =
-        ParallelPartitionCoarsening(true).run(g, p);
-    const CoarseningResult sequential =
-        ParallelPartitionCoarsening(false).run(g, p);
+    const CsrGraph csr(g);
+    const CsrCoarseningResult parallel =
+        ParallelPartitionCoarsening(true).run(csr, p);
+    const CsrCoarseningResult sequential =
+        ParallelPartitionCoarsening(false).run(csr, p);
     EXPECT_EQ(parallel.fineToCoarse, sequential.fineToCoarse);
-    EXPECT_TRUE(
-        parallel.coarseGraph.structurallyEquals(sequential.coarseGraph));
+    // Equal up to summation order: weights within 1e-9.
+    EXPECT_TRUE(parallel.coarseGraph.toGraph().structurallyEquals(
+        sequential.coarseGraph.toGraph()));
+}
+
+TEST(Coarsening, OutputIndependentOfThreadCount) {
+    // Non-integer weights make every summation order visible in the low
+    // bits, so equality here means the rows are aggregated in the same
+    // order at every thread count, not just to the same edge set.
+    Random::setSeed(75);
+    const Graph unweighted =
+        PlantedPartitionGenerator(800, 16, 0.15, 0.01).generate();
+    Graph g(unweighted.upperNodeIdBound(), true);
+    unweighted.forEdges([&](node u, node v, edgeweight) {
+        g.addEdge(u, v, 0.1 + Random::real());
+    });
+    g.addEdge(3, 3, 0.7);
+    const CsrGraph csr(g);
+    Partition p(g.upperNodeIdBound());
+    for (node v = 0; v < p.numberOfElements(); ++v) {
+        p.set(v, static_cast<node>(Random::integer(60)));
+    }
+    p.setUpperBound(60);
+
+    const int restoreThreads = Parallel::maxThreads();
+    for (const bool parallel : {true, false}) {
+        std::vector<CsrCoarseningResult> runs;
+        for (const int threads : {1, 2, 4}) {
+            Parallel::setThreads(threads);
+            runs.push_back(ParallelPartitionCoarsening(parallel).run(csr, p));
+        }
+        for (std::size_t r = 1; r < runs.size(); ++r) {
+            const CsrGraph& a = runs[0].coarseGraph;
+            const CsrGraph& b = runs[r].coarseGraph;
+            EXPECT_EQ(runs[r].fineToCoarse, runs[0].fineToCoarse);
+            EXPECT_EQ(b.offsets(), a.offsets()) << "parallel=" << parallel;
+            EXPECT_EQ(b.neighborArray(), a.neighborArray())
+                << "parallel=" << parallel;
+            EXPECT_EQ(b.weightArray(), a.weightArray())
+                << "parallel=" << parallel;
+        }
+    }
+    Parallel::setThreads(restoreThreads);
 }
 
 TEST(Coarsening, SingletonPartitionIsIdentityShape) {
@@ -98,7 +145,8 @@ TEST(Coarsening, SingletonPartitionIsIdentityShape) {
     Graph g = ErdosRenyiGenerator(100, 0.05).generate();
     Partition p(g.upperNodeIdBound());
     p.allToSingletons();
-    const CoarseningResult result = ParallelPartitionCoarsening().run(g, p);
+    const CsrCoarseningResult result =
+        ParallelPartitionCoarsening().run(CsrGraph(g), p);
     EXPECT_EQ(result.coarseGraph.numberOfNodes(), g.numberOfNodes());
     EXPECT_EQ(result.coarseGraph.numberOfEdges(), g.numberOfEdges());
     EXPECT_NEAR(result.coarseGraph.totalEdgeWeight(), g.totalEdgeWeight(),
@@ -109,10 +157,11 @@ TEST(Coarsening, AllToOneGivesSingleNode) {
     Graph g = SimpleGraphs::clique(10);
     Partition p(10);
     p.allToOne();
-    const CoarseningResult result = ParallelPartitionCoarsening().run(g, p);
+    const CsrCoarseningResult result =
+        ParallelPartitionCoarsening().run(CsrGraph(g), p);
     EXPECT_EQ(result.coarseGraph.numberOfNodes(), 1u);
     EXPECT_EQ(result.coarseGraph.numberOfSelfLoops(), 1u);
-    EXPECT_DOUBLE_EQ(result.coarseGraph.weight(0, 0), 45.0);
+    EXPECT_DOUBLE_EQ(result.coarseGraph.toGraph().weight(0, 0), 45.0);
 }
 
 TEST(Coarsening, NonCompactCommunityIdsAreCompacted) {
@@ -123,7 +172,8 @@ TEST(Coarsening, NonCompactCommunityIdsAreCompacted) {
     p.set(2, 7);
     p.set(3, 7);
     p.setUpperBound(101);
-    const CoarseningResult result = ParallelPartitionCoarsening().run(g, p);
+    const CsrCoarseningResult result =
+        ParallelPartitionCoarsening().run(CsrGraph(g), p);
     EXPECT_EQ(result.coarseGraph.numberOfNodes(), 2u);
     // Ascending compaction: community 7 -> coarse 0, community 100 -> 1.
     EXPECT_EQ(result.fineToCoarse[0], 1u);
@@ -138,8 +188,9 @@ TEST(Coarsening, WeightedInputWeightsSummed) {
     Partition p(4);
     p.set(0, 0); p.set(1, 0); p.set(2, 1); p.set(3, 1);
     p.setUpperBound(2);
-    const CoarseningResult result = ParallelPartitionCoarsening().run(g, p);
-    EXPECT_DOUBLE_EQ(result.coarseGraph.weight(0, 1), 4.0);
+    const CsrCoarseningResult result =
+        ParallelPartitionCoarsening().run(CsrGraph(g), p);
+    EXPECT_DOUBLE_EQ(result.coarseGraph.toGraph().weight(0, 1), 4.0);
 }
 
 TEST(Projector, ProjectBackBasic) {
@@ -194,7 +245,8 @@ TEST(Projector, ModularityInvariantUnderProjection) {
         p.set(v, static_cast<node>(Random::integer(20)));
     }
     p.setUpperBound(20);
-    const CoarseningResult result = ParallelPartitionCoarsening().run(g, p);
+    const CsrCoarseningResult result =
+        ParallelPartitionCoarsening().run(CsrGraph(g), p);
 
     // Any coarse solution: group coarse nodes by parity.
     Partition coarseSolution(result.coarseGraph.upperNodeIdBound());

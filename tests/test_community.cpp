@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/label_prop_seq.hpp"
+#include "baselines/louvain_seq.hpp"
 #include "baselines/registry.hpp"
 #include "coarsening/parallel_coarsening.hpp"
 #include "community/combiner.hpp"
@@ -9,6 +11,7 @@
 #include "community/plm.hpp"
 #include "community/plmr.hpp"
 #include "community/plp.hpp"
+#include "generators/grid.hpp"
 #include "generators/lfr.hpp"
 #include "generators/planted_partition.hpp"
 #include "generators/simple_graphs.hpp"
@@ -347,6 +350,30 @@ TEST(EppIterated, TerminatesAndFindsStructure) {
     EXPECT_GT(jaccardIndex(zeta, gen.groundTruth()), 0.8);
 }
 
+TEST(EppIterated, DeterministicBaseIsIndependentOfThreadCount) {
+    // Sequential base and final detectors leave the coarsening between
+    // levels as the only parallel step. Its sorted CSR rows are the same
+    // at every thread count, so with a fixed seed the whole ensemble is.
+    // A grid is all ties: label propagation's random tie break on the
+    // coarse levels sees every change in neighbor order.
+    const Graph g = GridGenerator(40, 40).generate();
+    const DetectorMaker makeBase = [] {
+        return std::unique_ptr<CommunityDetector>(new LabelPropSeq());
+    };
+    const DetectorMaker makeFinal = [] {
+        return std::unique_ptr<CommunityDetector>(new LouvainSeq());
+    };
+    const int restoreThreads = Parallel::maxThreads();
+    std::vector<Partition> runs;
+    for (const int threads : {1, 4}) {
+        Parallel::setThreads(threads);
+        Random::setSeed(105);
+        runs.push_back(EppIterated(4, makeBase, makeFinal).run(g));
+    }
+    Parallel::setThreads(restoreThreads);
+    EXPECT_EQ(runs[1].vector(), runs[0].vector());
+}
+
 TEST(Detectors, RunIsRepeatable) {
     // Each call to run() is an independent, complete run.
     Random::setSeed(103);
@@ -450,9 +477,9 @@ TEST(Plm, RunOnCoarseGraphDirectly) {
     Graph g = SimpleGraphs::cliqueChain(6, 6);
     Partition first = Plp().run(g);
     first.compact();
-    const CoarseningResult coarse =
-        ParallelPartitionCoarsening().run(g, first);
-    const Partition refined = Plm().run(coarse.coarseGraph);
+    const CsrCoarseningResult coarse =
+        ParallelPartitionCoarsening().run(CsrGraph(g), first);
+    const Partition refined = Plm().runFrozen(coarse.coarseGraph);
     EXPECT_TRUE(refined.isComplete());
     const double q =
         Modularity().getQuality(refined, coarse.coarseGraph);

@@ -1,7 +1,7 @@
 // CSR "frozen graph" equivalence: the flat layout must be an exact image
 // of the adjacency-list layout it was frozen from — same structure, same
-// adjacency order, same quality scores and the same coarse graphs. PLM and
-// PLP run on the frozen layout only; their kernels are pinned against the
+// adjacency order, same quality scores. Every detector and the coarsener
+// run on the frozen layout only; PLM's kernels are pinned against the
 // reference move phase in tests/test_move_kernels.cpp.
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <tuple>
 #include <vector>
 
-#include "coarsening/parallel_coarsening.hpp"
 #include "community/plp.hpp"
 #include "generators/barabasi_albert.hpp"
 #include "generators/erdos_renyi.hpp"
@@ -116,22 +115,6 @@ TEST_P(CsrEquivalence, QualityKernelsMatch) {
     // Multi-threaded: same value up to summation order.
     EXPECT_NEAR(Modularity().getQuality(zeta, g),
                 Modularity().getQuality(zeta, csr), 1e-9);
-}
-
-TEST_P(CsrEquivalence, CoarseningPathsAgree) {
-    const auto& [family, seed] = GetParam();
-    const Graph g = makeInstance(family, seed);
-    Random::setSeed(seed + 20);
-    const Partition zeta = Plp().run(g);
-
-    const ParallelPartitionCoarsening coarsener(true);
-    const CoarseningResult viaGraph = coarsener.run(g, zeta);
-    const CsrCoarseningResult viaCsr = coarsener.run(CsrGraph(g), zeta);
-
-    EXPECT_EQ(viaGraph.fineToCoarse, viaCsr.fineToCoarse);
-    const Graph coarseBack = viaCsr.coarseGraph.toGraph();
-    coarseBack.checkConsistency();
-    EXPECT_TRUE(viaGraph.coarseGraph.structurallyEquals(coarseBack));
 }
 
 INSTANTIATE_TEST_SUITE_P(

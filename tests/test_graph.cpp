@@ -325,7 +325,7 @@ TEST(GraphTools, InducedSubgraphRejectsDuplicates) {
 
 TEST(GraphTools, RandomNodeOrderIsPermutation) {
     Random::setSeed(12);
-    Graph g(50, false);
+    const CsrGraph g(Graph(50, false));
     auto order = GraphTools::randomNodeOrder(g);
     std::sort(order.begin(), order.end());
     EXPECT_EQ(order, g.nodeIds());

@@ -85,10 +85,10 @@ TEST(Integration, CommunityGraphVisualizationPipeline) {
     Partition zeta = Plm().run(g);
     zeta.compact();
 
-    const CoarseningResult result =
-        ParallelPartitionCoarsening().run(g, zeta);
+    const CsrCoarseningResult result =
+        ParallelPartitionCoarsening().run(CsrGraph(g), zeta);
     const auto sizes = zeta.subsetSizes();
-    io::writeCommunityGraphDot(result.coarseGraph, sizes,
+    io::writeCommunityGraphDot(result.coarseGraph.toGraph(), sizes,
                                (dir / "communities.dot").string());
     std::ifstream in(dir / "communities.dot");
     EXPECT_TRUE(in.good());

@@ -117,17 +117,19 @@ bool endsWith(const std::string& s, const std::string& suffix) {
            s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-Graph loadGraph(const std::string& path, const Args& args) {
+/// Every graph is read straight into CSR; commands that need a mutable
+/// Graph thaw it once with toGraph().
+CsrGraph loadGraph(const std::string& path, const Args& args) {
     io::ParseOptions options;
     options.strict = !args.has("permissive");
     options.threads = static_cast<int>(args.integer("io-threads", 0));
     options.weighted = args.has("weighted");
     if (args.has("one-indexed")) options.indexBase = 1;
     if (endsWith(path, ".metis") || endsWith(path, ".graph")) {
-        return io::readMetis(path, options);
+        return io::readMetisCsr(path, options);
     }
-    if (endsWith(path, ".gcsr")) return io::readBinaryCsr(path).graph.toGraph();
-    return io::readEdgeListCsr(path, options).toGraph();
+    if (endsWith(path, ".gcsr")) return io::readBinaryCsr(path).graph;
+    return io::readEdgeListCsr(path, options);
 }
 
 void saveGraph(const Graph& g, const std::string& path) {
@@ -216,7 +218,7 @@ int commandDetect(const Args& args) {
         Parallel::setThreads(static_cast<int>(args.integer("threads", 1)));
     }
     const std::string algorithmName = args.str("algo", "PLM");
-    Graph g = loadGraph(args.required("in"), args);
+    const CsrGraph g = loadGraph(args.required("in"), args);
     std::printf("graph: n=%llu m=%llu\n",
                 static_cast<unsigned long long>(g.numberOfNodes()),
                 static_cast<unsigned long long>(g.numberOfEdges()));
@@ -235,7 +237,7 @@ int commandDetect(const Args& args) {
     }();
 
     Timer timer;
-    Partition zeta = detector->run(g);
+    Partition zeta = detector->runFrozen(g);
     const double seconds = timer.elapsed();
     const double q = Modularity().getQuality(zeta, g);
     const CommunitySizeStats stats = communitySizeStats(zeta);
@@ -253,7 +255,7 @@ int commandDetect(const Args& args) {
 }
 
 int commandStats(const Args& args) {
-    Graph g = loadGraph(args.required("in"), args);
+    const Graph g = loadGraph(args.required("in"), args).toGraph();
     const GraphProfile profile =
         profileGraph(g, g.numberOfEdges() > 2000000 ? 1000000 : 0);
     std::printf("n               %llu\n",
@@ -282,7 +284,7 @@ int commandStats(const Args& args) {
 
 int commandLocal(const Args& args) {
     Random::setSeed(args.integer("seed-rng", 42));
-    Graph g = loadGraph(args.required("in"), args);
+    const Graph g = loadGraph(args.required("in"), args).toGraph();
     const node seed = static_cast<node>(args.integer("seed", 0));
     LocalExpansion expansion(args.integer("max-size", 1000));
     Timer timer;
@@ -304,7 +306,7 @@ int commandLocal(const Args& args) {
 
 int commandOverlap(const Args& args) {
     Random::setSeed(args.integer("seed", 42));
-    Graph g = loadGraph(args.required("in"), args);
+    const Graph g = loadGraph(args.required("in"), args).toGraph();
     OverlappingLpaConfig config;
     config.maxMemberships = args.integer("memberships", 2);
     OverlappingLpa lpa(config);
@@ -341,7 +343,7 @@ int commandCompare(const Args& args) {
     std::printf("rand     %.4f\n", randIndex(a, b));
     std::printf("nmi      %.4f\n", normalizedMutualInformation(a, b));
     if (args.has("graph")) {
-        Graph g = loadGraph(args.str("graph"), args);
+        const Graph g = loadGraph(args.str("graph"), args).toGraph();
         std::printf("modularity(a) %.4f\n", Modularity().getQuality(a, g));
         std::printf("modularity(b) %.4f\n", Modularity().getQuality(b, g));
         const ConductanceSummary phi = conductanceSummary(a, g);
@@ -365,7 +367,7 @@ int commandStream(const Args& args) {
 
     std::unique_ptr<StreamingGraph> engine;
     if (args.has("in")) {
-        Graph g = loadGraph(args.str("in"), args);
+        const Graph g = loadGraph(args.str("in"), args).toGraph();
         std::printf("seed graph: n=%llu m=%llu\n",
                     static_cast<unsigned long long>(g.numberOfNodes()),
                     static_cast<unsigned long long>(g.numberOfEdges()));
@@ -425,7 +427,7 @@ int commandStream(const Args& args) {
 }
 
 int commandConvert(const Args& args) {
-    Graph g = loadGraph(args.required("in"), args);
+    const Graph g = loadGraph(args.required("in"), args).toGraph();
     saveGraph(g, args.required("out"));
     std::printf("converted: n=%llu m=%llu -> %s\n",
                 static_cast<unsigned long long>(g.numberOfNodes()),
